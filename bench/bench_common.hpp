@@ -11,6 +11,7 @@
 #include <string>
 
 #include "csecg/core/frontend.hpp"
+#include "csecg/core/runner.hpp"
 #include "csecg/ecg/record.hpp"
 
 namespace csecg::bench {
@@ -43,6 +44,20 @@ inline const std::vector<double>& fig7_cr_grid() {
   static const std::vector<double> grid = {50.0, 56.0, 62.0, 69.0, 75.0,
                                            81.0, 88.0, 94.0, 97.0};
   return grid;
+}
+
+/// Fraction of decoded windows whose solve converged.
+inline double converged_fraction(
+    const std::vector<core::RecordReport>& reports) {
+  std::size_t converged = 0;
+  std::size_t windows = 0;
+  for (const auto& r : reports) {
+    converged += r.converged_windows;
+    windows += r.windows.size();
+  }
+  return windows == 0 ? 0.0
+                      : static_cast<double>(converged) /
+                            static_cast<double>(windows);
 }
 
 inline void print_header(const char* experiment, const char* paper_ref) {

@@ -24,7 +24,7 @@ int main() {
   const auto lowres_codec = core::train_lowres_codec(base, database);
 
   std::printf("cr_percent,m,hybrid_snr_db,cs_snr_db,hybrid_prd,cs_prd,"
-              "hybrid_net_cr\n");
+              "hybrid_net_cr,hybrid_converged,cs_converged\n");
   for (double cr : bench::fig7_cr_grid()) {
     core::FrontEndConfig config = base;
     config.measurements = config.measurements_for_cr(cr);
@@ -33,11 +33,12 @@ int main() {
                                            core::DecodeMode::kHybrid);
     const auto normal = core::run_database(codec, database, records, windows,
                                            core::DecodeMode::kNormalCs);
-    std::printf("%.0f,%zu,%.2f,%.2f,%.2f,%.2f,%.2f\n", cr,
+    std::printf("%.0f,%zu,%.2f,%.2f,%.2f,%.2f,%.2f,%.3f,%.3f\n", cr,
                 config.measurements, core::averaged_snr(hybrid),
                 core::averaged_snr(normal), core::averaged_prd(hybrid),
-                core::averaged_prd(normal),
-                hybrid.front().net_cr_percent);
+                core::averaged_prd(normal), hybrid.front().net_cr_percent,
+                bench::converged_fraction(hybrid),
+                bench::converged_fraction(normal));
   }
   std::printf("# paper: hybrid ~22 dB at CR 50 falling to ~14 dB at CR 97; "
               "normal CS collapses above ~CR 70\n");

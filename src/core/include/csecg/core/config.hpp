@@ -48,10 +48,14 @@ struct FrontEndConfig {
   /// PDHG defaults tuned for ADC-unit ECG windows: the 0.01 dual/primal
   /// ratio enlarges the primal step to match the coefficient scale, which
   /// converges the unconstrained baseline ~10× faster (see EXPERIMENTS.md).
+  /// tol = 5e-5: the tightest swept tolerance at which every reference
+  /// hybrid window converges under the 2000-iteration cap, and the loosest
+  /// whose mean SNR gap to a 30000-iteration solve stays within 0.05 dB
+  /// (bench/bench_solver, BENCH_solver.json).
   recovery::PdhgOptions solver = [] {
     recovery::PdhgOptions options;
     options.max_iterations = 2000;
-    options.tol = 1e-5;
+    options.tol = 5e-5;
     options.dual_primal_ratio = 0.01;
     return options;
   }();

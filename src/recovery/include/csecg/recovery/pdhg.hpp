@@ -34,16 +34,20 @@ struct PdhgOptions {
   int max_iterations = 2000;
   /// Relative x-change stopping tolerance.
   double tol = 1e-6;
-  /// Allowed constraint violation at exit, relative to ‖y‖ (ball) and to
-  /// the box width (box).
+  /// Allowed constraint violation at exit, relative to ‖y‖ (ball) and,
+  /// sample by sample, to that sample's own box width (box).
   double feasibility_tol = 1e-4;
   /// Check convergence every this many iterations.
   int check_every = 10;
   /// Over-relaxation θ (1 = plain CP).
   double theta = 1.0;
-  /// Safety factor on the 1/‖K‖ step sizes.
+  /// Safety factor s < 1 on the step sizes: τ·σ·‖K‖² = s² (see
+  /// step_sizes for the box case).
   double step_safety = 0.99;
-  /// Ratio σ_dual/τ_primal (1 = balanced); tuning knob only.
+  /// Sets the primal step: τ = s/(‖K‖·√r).  Without a box the dual step is
+  /// σ = s·√r/‖K‖; with a box the dual steps follow from τ (see
+  /// step_sizes).  The library default 1 balances τ and σ; ADC-unit ECG
+  /// windows want a large primal step, so FrontEndConfig uses 0.01.
   double dual_primal_ratio = 1.0;
   /// Known ‖Φ‖₂, to skip the internal power iteration when the caller
   /// reuses one sensing operator across many solves.  0 = estimate.
@@ -61,14 +65,49 @@ struct PdhgOptions {
 /// Validates PdhgOptions; throws std::invalid_argument on nonsense.
 void validate(const PdhgOptions& options);
 
+/// PDHG step sizes for K = [Φ; I] (box) or K = Φ (no box).
+///
+/// Without a box: τ = s/(‖Φ‖·√r), σ_ball = s·√r/‖Φ‖, so τ·σ·‖Φ‖² = s².
+/// With a box the dual step is block-diagonal (Pock & Chambolle 2011):
+/// τ = s/(‖K‖·√r) with ‖K‖ = √(‖Φ‖²+1), then σ_ball = s²/(2τ‖Φ‖²) and
+/// σ_box = s²/(2τ), so τ·(σ_ball‖Φ‖² + σ_box) = s² < 1 while the identity
+/// block steps ‖Φ‖² times further than the ball block.  (s = step_safety,
+/// r = dual_primal_ratio; sigma_box is 0 without a box.)
+struct PdhgSteps {
+  double tau = 0.0;
+  double sigma_ball = 0.0;
+  double sigma_box = 0.0;
+};
+
+/// Step sizes solve_bpdn uses for a given ‖Φ‖₂ estimate.
+PdhgSteps step_sizes(double phi_norm, bool with_box,
+                     const PdhgOptions& options);
+
+/// Why solve_bpdn stopped.  At the iteration cap the reason names the
+/// first stopping test that still failed at the last check, in the order
+/// ball feasibility, box feasibility, x-change.
+enum class PdhgExit {
+  kConverged,
+  kCapBall,
+  kCapBox,
+  kCapChange,
+};
+
+/// Short name of an exit reason ("converged", "ball", "box", "x_change"),
+/// as used in the solver.pdhg.exit.<reason> counters.
+const char* exit_name(PdhgExit exit) noexcept;
+
 /// Solver outcome.
 struct PdhgResult {
   linalg::Vector x;        ///< Recovered sample-domain signal.
   int iterations = 0;
   bool converged = false;  ///< Tolerances met before the iteration cap.
+  PdhgExit exit = PdhgExit::kCapChange;  ///< Why the solve stopped
+                                         ///< (meaningless if none ran).
   double objective = 0.0;  ///< ‖Ψᵀx‖₁ at exit.
   double ball_violation = 0.0;  ///< max(0, ‖Φx−y‖₂ − σ) at exit.
-  double box_violation = 0.0;   ///< max over samples of box violation.
+  double box_violation = 0.0;   ///< max over samples of box violation,
+                                ///< in signal units.
 };
 
 /// Solves   min ‖Ψᵀx‖₁  s.t. ‖Φx−y‖₂ ≤ σ  [and l ≤ x ≤ u if box given].

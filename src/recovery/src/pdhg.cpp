@@ -30,6 +30,39 @@ void validate(const PdhgOptions& options) {
   }
 }
 
+PdhgSteps step_sizes(double phi_norm, bool with_box,
+                     const PdhgOptions& options) {
+  const double s = options.step_safety;
+  const double ratio_sqrt = std::sqrt(options.dual_primal_ratio);
+  PdhgSteps steps;
+  if (!with_box) {
+    const double k_norm = std::max(phi_norm, 1e-12);
+    steps.tau = s / (k_norm * ratio_sqrt);
+    steps.sigma_ball = s * ratio_sqrt / k_norm;
+    return steps;
+  }
+  const double k_norm = std::sqrt(phi_norm * phi_norm + 1.0);
+  steps.tau = s / (k_norm * ratio_sqrt);
+  const double half_budget = s * s / (2.0 * steps.tau);
+  steps.sigma_ball = half_budget / std::max(phi_norm * phi_norm, 1e-24);
+  steps.sigma_box = half_budget;
+  return steps;
+}
+
+const char* exit_name(PdhgExit exit) noexcept {
+  switch (exit) {
+    case PdhgExit::kConverged:
+      return "converged";
+    case PdhgExit::kCapBall:
+      return "ball";
+    case PdhgExit::kCapBox:
+      return "box";
+    case PdhgExit::kCapChange:
+      return "x_change";
+  }
+  return "unknown";
+}
+
 PdhgResult solve_bpdn(const linalg::LinearOperator& phi,
                       const linalg::LinearOperator& psi,
                       const linalg::Vector& y, double sigma,
@@ -61,15 +94,11 @@ PdhgResult solve_bpdn(const linalg::LinearOperator& phi,
                 "solve_bpdn: coefficient_weights must have length " << n);
   }
 
-  // Operator norm of K = [Φ; I] (or Φ alone without the box block).
   const double phi_norm = options.phi_norm_hint > 0.0
                               ? options.phi_norm_hint
                               : linalg::operator_norm_estimate(phi, 60);
-  const double k_norm =
-      box ? std::sqrt(phi_norm * phi_norm + 1.0) : std::max(phi_norm, 1e-12);
-  const double ratio_sqrt = std::sqrt(options.dual_primal_ratio);
-  const double tau = options.step_safety / (k_norm * ratio_sqrt);
-  const double sigma_d = options.step_safety * ratio_sqrt / k_norm;
+  const auto [tau, sigma_ball, sigma_box] =
+      step_sizes(phi_norm, box.has_value(), options);
 
   // Warm start: caller-provided, else box midpoint (already nearly
   // feasible), else zero.
@@ -90,54 +119,55 @@ PdhgResult solve_bpdn(const linalg::LinearOperator& phi,
 
   // Per-solve workspaces, reused every iteration so the loop itself is
   // allocation-free (the operators' *_into paths write in place).
-  linalg::Vector w_m(m);       // σ_d·Φx̄ + q1.
-  linalg::Vector scaled_m(m);  // w_m / σ_d (the point to project).
+  linalg::Vector w_m(m);       // σ_ball·Φx̄ + q1.
+  linalg::Vector scaled_m(m);  // w_m / σ_ball (the point to project).
   linalg::Vector diff_m(m);    // scaled_m − y.
   linalg::Vector grad(n);      // Φᵀq1 [+ q2].
   linalg::Vector x_new(n);
   linalg::Vector coeffs(n);
   linalg::Vector check_diff(n);
 
+  // Feasibility scales: ‖y‖ for the ball; for the box, each sample's own
+  // cell width, so one wide (e.g. rail-to-rail) cell cannot loosen the
+  // test on the narrow ones.
   const double y_scale = std::max(linalg::norm2(y), 1.0);
-  double box_scale = 1.0;
-  if (box) {
-    double w = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      w = std::max(w, box->upper[i] - box->lower[i]);
-    }
-    box_scale = std::max(w, 1e-12);
+  linalg::Vector inv_width(box ? n : 0);
+  for (std::size_t i = 0; i < inv_width.size(); ++i) {
+    inv_width[i] = 1.0 / std::max(box->upper[i] - box->lower[i], 1e-12);
   }
 
   PdhgResult result;
   linalg::Vector x_prev_check = x;
 
   for (int it = 1; it <= options.max_iterations; ++it) {
-    // Dual ascent on the ball block: q1 += σ_d·Φx̄ then Moreau.
+    // Dual ascent on the ball block: q1 += σ_ball·Φx̄ then Moreau.
     {
       phi.apply_into(x_bar, w_m);
-      for (std::size_t i = 0; i < m; ++i) w_m[i] = w_m[i] * sigma_d + q1[i];
-      for (std::size_t i = 0; i < m; ++i) scaled_m[i] = w_m[i] / sigma_d;
+      for (std::size_t i = 0; i < m; ++i) {
+        w_m[i] = w_m[i] * sigma_ball + q1[i];
+      }
+      for (std::size_t i = 0; i < m; ++i) scaled_m[i] = w_m[i] / sigma_ball;
       // project_l2_ball(scaled_m, y, sigma), in place.
       for (std::size_t i = 0; i < m; ++i) diff_m[i] = scaled_m[i] - y[i];
       const double dist = linalg::norm2(diff_m);
       if (dist <= sigma) {
         for (std::size_t i = 0; i < m; ++i) {
-          q1[i] = w_m[i] - sigma_d * scaled_m[i];
+          q1[i] = w_m[i] - sigma_ball * scaled_m[i];
         }
       } else {
         const double scale = sigma / dist;
         for (std::size_t i = 0; i < m; ++i) {
-          q1[i] = w_m[i] - sigma_d * (y[i] + scale * diff_m[i]);
+          q1[i] = w_m[i] - sigma_ball * (y[i] + scale * diff_m[i]);
         }
       }
     }
-    // Dual ascent on the box block.
+    // Dual ascent on the box block, with its own step σ_box.
     if (box) {
       for (std::size_t i = 0; i < n; ++i) {
-        const double v = q2[i] + sigma_d * x_bar[i];
+        const double v = q2[i] + sigma_box * x_bar[i];
         const double proj =
-            std::clamp(v / sigma_d, box->lower[i], box->upper[i]);
-        q2[i] = v - sigma_d * proj;
+            std::clamp(v / sigma_box, box->lower[i], box->upper[i]);
+        q2[i] = v - sigma_box * proj;
       }
     }
     // Primal descent: x ← prox_{τ‖Ψᵀ·‖₁}(x − τ·Kᵀq).
@@ -176,19 +206,24 @@ PdhgResult solve_bpdn(const linalg::LinearOperator& phi,
       const double ball_viol =
           std::max(0.0, linalg::norm2(w_m) - sigma);
       double box_viol = 0.0;
+      double box_viol_rel = 0.0;
       if (box) {
         for (std::size_t i = 0; i < n; ++i) {
-          box_viol = std::max(box_viol, box->lower[i] - x[i]);
-          box_viol = std::max(box_viol, x[i] - box->upper[i]);
+          const double v = std::max(box->lower[i] - x[i], x[i] - box->upper[i]);
+          box_viol = std::max(box_viol, v);
+          box_viol_rel = std::max(box_viol_rel, v * inv_width[i]);
         }
-        box_viol = std::max(box_viol, 0.0);
       }
       result.ball_violation = ball_viol;
       result.box_violation = box_viol;
-      const bool feasible =
-          ball_viol <= options.feasibility_tol * y_scale &&
-          box_viol <= options.feasibility_tol * box_scale;
-      if (rel_change <= options.tol && feasible) {
+      if (ball_viol > options.feasibility_tol * y_scale) {
+        result.exit = PdhgExit::kCapBall;
+      } else if (box_viol_rel > options.feasibility_tol) {
+        result.exit = PdhgExit::kCapBox;
+      } else if (rel_change > options.tol) {
+        result.exit = PdhgExit::kCapChange;
+      } else {
+        result.exit = PdhgExit::kConverged;
         result.converged = true;
         break;
       }
@@ -205,9 +240,16 @@ PdhgResult solve_bpdn(const linalg::LinearOperator& phi,
       obs::counter("solver.pdhg.non_converged");
   static obs::Gauge& last_residual = obs::gauge("solver.pdhg.last_residual");
   static obs::Gauge& last_epsilon = obs::gauge("solver.pdhg.last_epsilon");
+  static obs::Counter* const exits[] = {
+      &obs::counter("solver.pdhg.exit.converged"),
+      &obs::counter("solver.pdhg.exit.ball"),
+      &obs::counter("solver.pdhg.exit.box"),
+      &obs::counter("solver.pdhg.exit.x_change"),
+  };
   solves.add();
   iterations.add(static_cast<std::uint64_t>(result.iterations));
   (result.converged ? converged : non_converged).add();
+  exits[static_cast<std::size_t>(result.exit)]->add();
   last_residual.set(result.ball_violation);
   last_epsilon.set(sigma);
   solve_trace.set_arg(static_cast<std::uint64_t>(result.iterations));

@@ -1,13 +1,18 @@
 // Unit tests for csecg::recovery — proximal operators, the PDHG
-// box-constrained BPDN solver (paper problem (1)), FISTA/ADMM LASSO
-// agreement, and greedy pursuit exact-recovery properties.
+// box-constrained BPDN solver (paper problem (1)) and its step sizes,
+// stopping tests and exit reasons, FISTA/ADMM LASSO agreement, and greedy
+// pursuit exact-recovery properties.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
+#include "csecg/core/frontend.hpp"
 #include "csecg/linalg/matrix.hpp"
 #include "csecg/linalg/operator.hpp"
+#include "csecg/metrics/quality.hpp"
+#include "csecg/obs/registry.hpp"
 #include "csecg/recovery/admm.hpp"
 #include "csecg/recovery/fista.hpp"
 #include "csecg/recovery/greedy.hpp"
@@ -309,6 +314,155 @@ TEST(Pdhg, ReportsViolationsOnTinyBudget) {
   EXPECT_FALSE(res.converged);
   EXPECT_EQ(res.iterations, 3);
   EXPECT_GT(res.ball_violation, 0.0);
+}
+
+TEST(PdhgSteps, BoxStepsMeetChambollePockCondition) {
+  // With a box, K = [Φ; I] gets block-diagonal dual steps; the CP
+  // condition τ·(σ_ball‖Φ‖² + σ_box) ≤ s² must hold for any ‖Φ‖ and ratio.
+  for (const double phi_norm : {0.5, 1.0, 4.0, 32.0, 300.0}) {
+    for (const double ratio : {0.01, 1.0, 5.0}) {
+      PdhgOptions options;
+      options.dual_primal_ratio = ratio;
+      const PdhgSteps steps = step_sizes(phi_norm, true, options);
+      const double s = options.step_safety;
+      EXPECT_LE(steps.tau * (steps.sigma_ball * phi_norm * phi_norm +
+                             steps.sigma_box),
+                s * s * (1.0 + 1e-12))
+          << "phi_norm " << phi_norm << " ratio " << ratio;
+      // τ is unchanged from the single-step rule on ‖K‖ = √(‖Φ‖²+1).
+      EXPECT_DOUBLE_EQ(steps.tau,
+                       s / (std::sqrt(phi_norm * phi_norm + 1.0) *
+                            std::sqrt(ratio)));
+      // The identity block gets a ‖Φ‖²-times larger step than the ball.
+      EXPECT_NEAR(steps.sigma_box / steps.sigma_ball, phi_norm * phi_norm,
+                  1e-9 * phi_norm * phi_norm);
+    }
+  }
+}
+
+TEST(PdhgSteps, NoBoxStepsAreTheSingleStepRule) {
+  // Without a box the steps are τ = s/(‖Φ‖√r), σ = s√r/‖Φ‖, bit for bit.
+  for (const double phi_norm : {0.5, 1.0, 32.0}) {
+    for (const double ratio : {0.01, 1.0}) {
+      PdhgOptions options;
+      options.dual_primal_ratio = ratio;
+      const PdhgSteps steps = step_sizes(phi_norm, false, options);
+      const double k_norm = std::max(phi_norm, 1e-12);
+      const double ratio_sqrt = std::sqrt(ratio);
+      EXPECT_EQ(steps.tau, options.step_safety / (k_norm * ratio_sqrt));
+      EXPECT_EQ(steps.sigma_ball, options.step_safety * ratio_sqrt / k_norm);
+      EXPECT_EQ(steps.sigma_box, 0.0);
+    }
+  }
+}
+
+TEST(Pdhg, BoxFeasibilityIsPerSampleWidth) {
+  // One rail-wide cell must not loosen the feasibility test on the narrow
+  // cells.  Make x-change pass trivially and the ball inactive, start one
+  // narrow cell 2 units outside its box and stop after one iteration: the
+  // narrow cell still violates by ~1 unit, which against its own 16-unit
+  // width is far above feasibility_tol (against the 2048-unit rail cell it
+  // would pass).
+  const std::size_t n = 16;
+  const Matrix a = gaussian_matrix(8, n, 20);
+  BoxConstraint box;
+  box.lower = Vector(n, 100.0);
+  box.upper = Vector(n, 116.0);
+  box.lower[0] = -1024.0;  // Rail cell (low-res sample lost).
+  box.upper[0] = 1024.0;
+  Vector x0(n, 108.0);
+  x0[5] = 118.0;  // 2 units above its cell.
+  const Vector y = linalg::multiply(a, x0);
+  PdhgOptions options;
+  options.max_iterations = 1;
+  options.check_every = 1;
+  options.tol = 1.0;
+  options.feasibility_tol = 1e-3;
+  options.x0 = x0;
+  options.coefficient_weights = Vector(n, 0.0);  // Prox is the identity.
+  const PdhgResult res =
+      solve_bpdn(LinearOperator::from_matrix(a), LinearOperator::identity(n),
+                 y, 1e3, box, options);
+  EXPECT_GT(res.box_violation, 0.5);
+  EXPECT_LT(res.box_violation, 2.0);
+  EXPECT_LT(res.box_violation, options.feasibility_tol * 2048.0);
+  EXPECT_FALSE(res.converged);
+  EXPECT_EQ(res.exit, PdhgExit::kCapBox);
+}
+
+TEST(Pdhg, ExitReasonNamesTheFailingTest) {
+  const std::size_t n = 32;
+  const Matrix a = gaussian_matrix(16, n, 18);
+  const Vector y = linalg::multiply(a, sparse_vector(n, 4, 19));
+  const auto phi = LinearOperator::from_matrix(a);
+  const auto psi = LinearOperator::identity(n);
+  obs::Counter& ball = obs::counter("solver.pdhg.exit.ball");
+  obs::Counter& change = obs::counter("solver.pdhg.exit.x_change");
+  obs::Counter& converged = obs::counter("solver.pdhg.exit.converged");
+
+  // Starved budget: the residual is still far outside the ball.
+  PdhgOptions starved;
+  starved.max_iterations = 3;
+  const std::uint64_t ball_before = ball.value();
+  const PdhgResult capped = solve_bpdn(phi, psi, y, 1e-9, std::nullopt,
+                                       starved);
+  EXPECT_EQ(capped.exit, PdhgExit::kCapBall);
+  EXPECT_STREQ(exit_name(capped.exit), "ball");
+  EXPECT_EQ(ball.value(), ball_before + 1);
+
+  // Inside a generous ball from the start, but three iterations of
+  // shrinkage still move x far from its warm start.
+  PdhgOptions moving;
+  moving.max_iterations = 3;
+  moving.x0 = sparse_vector(n, 4, 19);
+  const std::uint64_t change_before = change.value();
+  const PdhgResult stalled = solve_bpdn(phi, psi, y, 1e6, std::nullopt,
+                                        moving);
+  EXPECT_EQ(stalled.exit, PdhgExit::kCapChange);
+  EXPECT_STREQ(exit_name(stalled.exit), "x_change");
+  EXPECT_EQ(change.value(), change_before + 1);
+
+  // A converged solve says so.
+  PdhgOptions loose;
+  loose.max_iterations = 5000;
+  const std::uint64_t converged_before = converged.value();
+  const PdhgResult done = solve_bpdn(phi, psi, y, 1e-3, std::nullopt, loose);
+  EXPECT_TRUE(done.converged);
+  EXPECT_EQ(done.exit, PdhgExit::kConverged);
+  EXPECT_STREQ(exit_name(done.exit), "converged");
+  EXPECT_EQ(converged.value(), converged_before + 1);
+}
+
+TEST(Pdhg, DefaultConfigHybridWindowsConverge) {
+  // Four default-config hybrid windows of the seed-2015 database (the
+  // first window of records 0-3 in the decode benchmark's set) converge
+  // under the default cap, within 0.05 dB of a 30000-iteration solve.
+  const ecg::SyntheticDatabase database(ecg::RecordConfig{}, 2015);
+  const core::FrontEndConfig config;
+  const auto lowres_codec = core::train_lowres_codec(config, database);
+  const core::Encoder encoder(config, lowres_codec);
+  const core::Decoder decoder(config, lowres_codec);
+  core::FrontEndConfig reference_config = config;
+  reference_config.solver.max_iterations = 30000;
+  reference_config.solver.tol = 1e-8;
+  const core::Decoder reference(reference_config, lowres_codec);
+  for (std::size_t r = 0; r < 4; ++r) {
+    const Vector window =
+        ecg::extract_windows(database.record(r), config.window, 4)[0];
+    const core::Frame frame = encoder.encode(window);
+    const core::DecodeResult result = decoder.decode(frame);
+    const core::DecodeResult exact = reference.decode(frame);
+    ASSERT_TRUE(result.used_box);
+    EXPECT_TRUE(result.solver.converged)
+        << "record " << r << " exit " << exit_name(result.solver.exit);
+    EXPECT_LT(result.solver.iterations, config.solver.max_iterations);
+    EXPECT_TRUE(exact.solver.converged) << "record " << r;
+    const double snr = metrics::snr_from_prd(
+        metrics::prd_zero_mean(window, result.x));
+    const double snr_exact = metrics::snr_from_prd(
+        metrics::prd_zero_mean(window, exact.x));
+    EXPECT_NEAR(snr, snr_exact, 0.05) << "record " << r;
+  }
 }
 
 // ---------------------------------------------------------------------------
