@@ -28,7 +28,6 @@ core::FrontEndConfig bench_config() {
   config.window = 256;
   config.measurements = 48;
   config.wavelet_levels = 4;
-  config.solver.max_iterations = 400;
   return config;
 }
 

@@ -1,17 +1,22 @@
-// Solver convergence bench: what the PDHG stopping tolerance buys.
+// Solver convergence bench: what the PDHG stopping tolerance and the
+// dual/primal step ratio buy.
 //
 // For the hybrid config (m = 96 plus the 7-bit side channel) and the
 // normal-CS config (m = 256, no side channel), every window is encoded
-// once and decoded at each x-change tolerance in the sweep, then once more
-// as the reference: a 30000-iteration cap with a tolerance far below the
-// sweep.  Per tolerance it records mean and p95 iterations, the converged
-// fraction, the exit reasons, mean SNR, the mean |SNR − reference SNR| gap
-// and wall ms per window (windows run concurrently on the thread pool).
+// once and decoded at each point of two sweeps: the x-change tolerance at
+// the default dual_primal_ratio, and dual_primal_ratio at the default
+// tolerance.  Each window is decoded once more as the reference: a
+// 30000-iteration cap with a tolerance far below the sweep.  Per point it
+// records mean and p95 iterations, the converged fraction, the exit
+// reasons, mean SNR, the mean |SNR − reference SNR| gap and wall ms per
+// window (windows run concurrently on the thread pool).
 //
 // Window set: records [0, CSECG_RECORDS) × CSECG_WINDOWS windows of the
 // seed-2015 database, default 16 × 4 — the decode benchmark's reference
-// set.  Results land in BENCH_solver.json.  Exits 2 when fewer than 95% of
-// the hybrid windows converge at the default tolerance.
+// set.  Results land in BENCH_solver.json.  Exits 2 when, on either
+// config, fewer than 95% of the windows converge at the default settings
+// or the default ratio needs more than 1.25× the mean iterations of the
+// best swept ratio.
 #include <algorithm>
 #include <array>
 #include <chrono>
@@ -21,6 +26,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "csecg/common/check.hpp"
 #include "csecg/metrics/quality.hpp"
 #include "csecg/parallel/thread_pool.hpp"
 
@@ -31,8 +37,10 @@ using Clock = std::chrono::steady_clock;
 
 constexpr int kReferenceIterations = 30000;
 constexpr double kReferenceTol = 1e-8;
-constexpr double kMinHybridConvergedFrac = 0.95;
+constexpr double kMinConvergedFrac = 0.95;
+constexpr double kMaxIterationsOverBest = 1.25;
 const std::vector<double> kTolerances = {1e-5, 3e-5, 5e-5, 1e-4};
+const std::vector<double> kRatios = {1e-4, 2e-4, 4e-4, 8e-4, 1.6e-3, 1e-2};
 constexpr std::size_t kExitReasons = 4;
 
 struct WindowOutcome {
@@ -45,6 +53,7 @@ struct WindowOutcome {
 
 struct Row {
   double tol = 0.0;
+  double ratio = 0.0;
   int max_iterations = 0;
   double iterations_mean = 0.0;
   double iterations_p95 = 0.0;
@@ -60,7 +69,13 @@ struct ConfigRun {
   std::string name;
   core::FrontEndConfig config;
   Row reference;
-  std::vector<Row> sweep;
+  std::vector<Row> tol_sweep;    ///< At the default ratio.
+  std::vector<Row> ratio_sweep;  ///< At the default tolerance.
+  /// Gate inputs: the default-settings row, and its mean iterations over
+  /// the fewest of any swept ratio.
+  double converged_frac = 0.0;
+  double iterations_over_best = 0.0;
+  bool pass = false;
 };
 
 double mean(const std::vector<double>& v) {
@@ -100,6 +115,7 @@ Row decode_all(const core::FrontEndConfig& config,
       });
   Row row;
   row.tol = config.solver.tol;
+  row.ratio = config.solver.dual_primal_ratio;
   row.max_iterations = config.solver.max_iterations;
   std::vector<double> iterations;
   std::vector<double> ms;
@@ -139,34 +155,56 @@ ConfigRun run_config(const std::string& name, core::FrontEndConfig config,
   reference.solver.max_iterations = kReferenceIterations;
   reference.solver.tol = kReferenceTol;
   run.reference = decode_all(reference, lowres_codec, windows, frames, pool);
-  for (const double tol : kTolerances) {
+  const auto decode_at = [&](double tol, double ratio) {
     core::FrontEndConfig swept = config;
     swept.solver.tol = tol;
+    swept.solver.dual_primal_ratio = ratio;
     Row row = decode_all(swept, lowres_codec, windows, frames, pool);
     std::vector<double> gaps;
     for (std::size_t i = 0; i < row.snrs.size(); ++i) {
       gaps.push_back(std::fabs(row.snrs[i] - run.reference.snrs[i]));
     }
     row.snr_gap_db = mean(gaps);
-    run.sweep.push_back(std::move(row));
+    return row;
+  };
+  for (const double tol : kTolerances) {
+    run.tol_sweep.push_back(decode_at(tol, config.solver.dual_primal_ratio));
   }
+  for (const double ratio : kRatios) {
+    run.ratio_sweep.push_back(decode_at(config.solver.tol, ratio));
+  }
+
+  const auto at_default = std::find_if(
+      run.tol_sweep.begin(), run.tol_sweep.end(),
+      [&](const Row& row) { return row.tol == config.solver.tol; });
+  CSECG_CHECK(at_default != run.tol_sweep.end(),
+              "bench_solver: the default tol must be one of kTolerances");
+  double best = at_default->iterations_mean;
+  for (const Row& row : run.ratio_sweep) {
+    best = std::min(best, row.iterations_mean);
+  }
+  run.converged_frac = at_default->converged_frac;
+  run.iterations_over_best = at_default->iterations_mean / best;
+  run.pass = run.converged_frac >= kMinConvergedFrac &&
+             run.iterations_over_best <= kMaxIterationsOverBest;
   return run;
 }
 
 void print_row(const char* config, const Row& row) {
-  std::printf("%s,%g,%d,%.1f,%.0f,%.3f,%.3f,%.4f,%.2f\n", config, row.tol,
-              row.max_iterations, row.iterations_mean, row.iterations_p95,
-              row.converged_frac, row.mean_snr_db, row.snr_gap_db,
-              row.ms_per_window);
+  std::printf("%s,%g,%g,%d,%.1f,%.0f,%.3f,%.3f,%.4f,%.2f\n", config, row.tol,
+              row.ratio, row.max_iterations, row.iterations_mean,
+              row.iterations_p95, row.converged_frac, row.mean_snr_db,
+              row.snr_gap_db, row.ms_per_window);
 }
 
 void write_row(std::FILE* json, const Row& row, const char* indent) {
   std::fprintf(json,
-               "%s{\"tol\": %g, \"max_iterations\": %d, "
+               "%s{\"tol\": %g, \"dual_primal_ratio\": %g, "
+               "\"max_iterations\": %d, "
                "\"iterations_mean\": %.2f, \"iterations_p95\": %.0f, "
                "\"converged_frac\": %.4f, \"exit\": {",
-               indent, row.tol, row.max_iterations, row.iterations_mean,
-               row.iterations_p95, row.converged_frac);
+               indent, row.tol, row.ratio, row.max_iterations,
+               row.iterations_mean, row.iterations_p95, row.converged_frac);
   for (std::size_t e = 0; e < kExitReasons; ++e) {
     std::fprintf(json, "\"%s\": %zu%s",
                  recovery::exit_name(static_cast<recovery::PdhgExit>(e)),
@@ -178,13 +216,24 @@ void write_row(std::FILE* json, const Row& row, const char* indent) {
                row.mean_snr_db, row.snr_gap_db, row.ms_per_window);
 }
 
+void write_sweep(std::FILE* json, const char* name,
+                 const std::vector<Row>& rows) {
+  std::fprintf(json, ",\n      \"%s\": [\n", name);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    write_row(json, rows[i], "        ");
+    std::fprintf(json, "%s\n", i + 1 < rows.size() ? "," : "");
+  }
+  std::fprintf(json, "      ]");
+}
+
 }  // namespace
 
 int main() {
   const std::size_t records = bench::env_or("CSECG_RECORDS", 16, 48);
   const std::size_t windows_per_record = bench::env_or("CSECG_WINDOWS", 4, 64);
   std::printf("# bench_solver\n");
-  std::printf("# PDHG tolerance sweep vs a %d-iteration reference\n",
+  std::printf("# PDHG tolerance and dual/primal ratio sweeps vs a "
+              "%d-iteration reference\n",
               kReferenceIterations);
   std::printf("# workload: %zu records x %zu windows (CSECG_RECORDS / "
               "CSECG_WINDOWS to rescale)\n",
@@ -208,22 +257,25 @@ int main() {
   runs.push_back(run_config("hybrid", defaults, windows, pool));
   runs.push_back(run_config("normal_cs", normal, windows, pool));
 
-  std::printf("config,tol,max_iterations,iterations_mean,iterations_p95,"
-              "converged_frac,mean_snr_db,snr_gap_db,ms_per_window\n");
-  double hybrid_converged = 0.0;
+  std::printf("config,tol,dual_primal_ratio,max_iterations,iterations_mean,"
+              "iterations_p95,converged_frac,mean_snr_db,snr_gap_db,"
+              "ms_per_window\n");
+  bool pass = true;
   for (const ConfigRun& run : runs) {
     print_row(run.name.c_str(), run.reference);
-    for (const Row& row : run.sweep) {
-      print_row(run.name.c_str(), row);
-      if (run.name == "hybrid" && row.tol == defaults.solver.tol) {
-        hybrid_converged = row.converged_frac;
-      }
-    }
+    for (const Row& row : run.tol_sweep) print_row(run.name.c_str(), row);
+    for (const Row& row : run.ratio_sweep) print_row(run.name.c_str(), row);
+    pass = pass && run.pass;
   }
-  const bool pass = hybrid_converged >= kMinHybridConvergedFrac;
-  std::printf("# hybrid converged fraction at the default tol %g: %.3f "
-              "(bar: >= %.2f)\n",
-              defaults.solver.tol, hybrid_converged, kMinHybridConvergedFrac);
+  for (const ConfigRun& run : runs) {
+    std::printf("# %s at the default tol %g, ratio %g: converged %.3f "
+                "(bar: >= %.2f), mean iterations %.2fx the best swept "
+                "ratio's (bar: <= %.2f)\n",
+                run.name.c_str(), defaults.solver.tol,
+                defaults.solver.dual_primal_ratio, run.converged_frac,
+                kMinConvergedFrac, run.iterations_over_best,
+                kMaxIterationsOverBest);
+  }
 
   std::FILE* json = std::fopen("BENCH_solver.json", "w");
   if (json == nullptr) {
@@ -235,30 +287,29 @@ int main() {
                "  \"workload\": {\"records\": %zu, \"windows_per_record\": "
                "%zu, \"database_seed\": 2015, \"threads\": %zu},\n",
                records, windows_per_record, pool.threads());
-  std::fprintf(json, "  \"default_tol\": %g,\n", defaults.solver.tol);
+  std::fprintf(json,
+               "  \"default_tol\": %g,\n  \"default_dual_primal_ratio\": %g,\n"
+               "  \"min_converged_frac\": %.2f,\n"
+               "  \"max_iterations_over_best\": %.2f,\n",
+               defaults.solver.tol, defaults.solver.dual_primal_ratio,
+               kMinConvergedFrac, kMaxIterationsOverBest);
   std::fprintf(json, "  \"configs\": [\n");
   for (std::size_t c = 0; c < runs.size(); ++c) {
     const ConfigRun& run = runs[c];
     std::fprintf(json,
                  "    {\"name\": \"%s\", \"measurements\": %zu, "
-                 "\"lowres_bits\": %d,\n      \"reference\": ",
+                 "\"lowres_bits\": %d, \"converged_frac_at_default\": %.4f, "
+                 "\"iterations_over_best\": %.3f, \"pass\": %s,\n"
+                 "      \"reference\": ",
                  run.name.c_str(), run.config.measurements,
-                 run.config.lowres_bits);
+                 run.config.lowres_bits, run.converged_frac,
+                 run.iterations_over_best, run.pass ? "true" : "false");
     write_row(json, run.reference, "");
-    std::fprintf(json, ",\n      \"sweep\": [\n");
-    for (std::size_t i = 0; i < run.sweep.size(); ++i) {
-      write_row(json, run.sweep[i], "        ");
-      std::fprintf(json, "%s\n", i + 1 < run.sweep.size() ? "," : "");
-    }
-    std::fprintf(json, "      ]}%s\n", c + 1 < runs.size() ? "," : "");
+    write_sweep(json, "tol_sweep", run.tol_sweep);
+    write_sweep(json, "ratio_sweep", run.ratio_sweep);
+    std::fprintf(json, "}%s\n", c + 1 < runs.size() ? "," : "");
   }
-  std::fprintf(json, "  ],\n");
-  std::fprintf(json,
-               "  \"hybrid_converged_frac_at_default_tol\": %.4f,\n"
-               "  \"min_hybrid_converged_frac\": %.2f,\n"
-               "  \"pass\": %s\n}\n",
-               hybrid_converged, kMinHybridConvergedFrac,
-               pass ? "true" : "false");
+  std::fprintf(json, "  ],\n  \"pass\": %s\n}\n", pass ? "true" : "false");
   std::fclose(json);
   std::printf("# wrote BENCH_solver.json\n");
   return pass ? 0 : 2;

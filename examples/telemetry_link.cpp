@@ -50,7 +50,6 @@ int main(int argc, char** argv) {
   config.window = 256;
   config.measurements = 48;
   config.wavelet_levels = 4;
-  config.solver.max_iterations = 400;
   const auto codec = core::train_lowres_codec(config, database, 3, 3);
 
   // A bursty body-area channel with ~5% stationary packet loss:

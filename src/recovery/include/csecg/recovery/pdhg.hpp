@@ -47,7 +47,8 @@ struct PdhgOptions {
   /// Sets the primal step: τ = s/(‖K‖·√r).  Without a box the dual step is
   /// σ = s·√r/‖K‖; with a box the dual steps follow from τ (see
   /// step_sizes).  The library default 1 balances τ and σ; ADC-unit ECG
-  /// windows want a large primal step, so FrontEndConfig uses 0.01.
+  /// windows want a large primal step, so FrontEndConfig uses 4e-4, the
+  /// best of the ratios bench/bench_solver sweeps.
   double dual_primal_ratio = 1.0;
   /// Known ‖Φ‖₂, to skip the internal power iteration when the caller
   /// reuses one sensing operator across many solves.  0 = estimate.

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <initializer_list>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -433,26 +435,31 @@ TEST(Pdhg, ExitReasonNamesTheFailingTest) {
   EXPECT_EQ(converged.value(), converged_before + 1);
 }
 
-TEST(Pdhg, DefaultConfigHybridWindowsConverge) {
-  // Four default-config hybrid windows of the seed-2015 database (the
-  // first window of records 0-3 in the decode benchmark's set) converge
-  // under the default cap, within 0.05 dB of a 30000-iteration solve.
+/// Decodes the first window of each listed record of the seed-2015
+/// database (the decode benchmark's set) under `config` and expects every
+/// solve to converge under the default cap, within 0.05 dB of a
+/// 30000-iteration, tol-1e-8 solve.
+void expect_default_solves_converge(
+    const core::FrontEndConfig& config,
+    std::initializer_list<std::size_t> records) {
   const ecg::SyntheticDatabase database(ecg::RecordConfig{}, 2015);
-  const core::FrontEndConfig config;
-  const auto lowres_codec = core::train_lowres_codec(config, database);
+  std::optional<coding::DeltaHuffmanCodec> lowres_codec;
+  if (config.lowres_bits > 0) {
+    lowres_codec = core::train_lowres_codec(config, database);
+  }
   const core::Encoder encoder(config, lowres_codec);
   const core::Decoder decoder(config, lowres_codec);
   core::FrontEndConfig reference_config = config;
   reference_config.solver.max_iterations = 30000;
   reference_config.solver.tol = 1e-8;
   const core::Decoder reference(reference_config, lowres_codec);
-  for (std::size_t r = 0; r < 4; ++r) {
+  for (const std::size_t r : records) {
     const Vector window =
         ecg::extract_windows(database.record(r), config.window, 4)[0];
     const core::Frame frame = encoder.encode(window);
     const core::DecodeResult result = decoder.decode(frame);
     const core::DecodeResult exact = reference.decode(frame);
-    ASSERT_TRUE(result.used_box);
+    ASSERT_EQ(result.used_box, config.lowres_bits > 0);
     EXPECT_TRUE(result.solver.converged)
         << "record " << r << " exit " << exit_name(result.solver.exit);
     EXPECT_LT(result.solver.iterations, config.solver.max_iterations);
@@ -463,6 +470,20 @@ TEST(Pdhg, DefaultConfigHybridWindowsConverge) {
         metrics::prd_zero_mean(window, exact.x));
     EXPECT_NEAR(snr, snr_exact, 0.05) << "record " << r;
   }
+}
+
+TEST(Pdhg, DefaultConfigHybridWindowsConverge) {
+  expect_default_solves_converge(core::FrontEndConfig{}, {0, 1, 2, 3});
+}
+
+TEST(Pdhg, DefaultConfigNormalCsWindowsConverge) {
+  // Normal-CS baseline (m = 256, no side channel, so no box).  Records 4,
+  // 5, 8 and 10 are ones whose first window hits the cap at the old
+  // dual_primal_ratio 0.01.
+  core::FrontEndConfig config;
+  config.measurements = 256;
+  config.lowres_bits = 0;
+  expect_default_solves_converge(config, {4, 5, 8, 10});
 }
 
 // ---------------------------------------------------------------------------

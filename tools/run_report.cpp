@@ -140,7 +140,6 @@ int run_clean(const Options& opts) {
   config.window = 256;
   config.measurements = 48;
   config.wavelet_levels = 4;
-  config.solver.max_iterations = 400;
   const auto lowres_codec = core::train_lowres_codec(config, database, 3, 3);
   const core::Codec codec(config, lowres_codec);
 
@@ -180,7 +179,6 @@ int run_link(const Options& opts) {
   config.window = 256;
   config.measurements = 48;
   config.wavelet_levels = 4;
-  config.solver.max_iterations = 400;
   const auto lowres_codec = core::train_lowres_codec(config, database, 3, 3);
 
   // The telemetry_link example's ~5% burst-loss channel with selective
