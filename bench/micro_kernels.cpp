@@ -1,7 +1,7 @@
 // Microbenchmarks (google-benchmark) for the kernels that dominate
 // end-to-end runtime: the DWT pair, RMPI measurement, the PDHG solve at
-// the paper's operating point, delta-Huffman coding, and the dense gemv
-// that underlies everything.
+// the paper's operating point, delta-Huffman coding, the dense gemv that
+// underlies everything, and the sign-packed kernels Φ actually runs.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -13,6 +13,7 @@
 #include "csecg/dsp/dwt.hpp"
 #include "csecg/ecg/record.hpp"
 #include "csecg/linalg/matrix.hpp"
+#include "csecg/linalg/operator.hpp"
 #include "csecg/parallel/thread_pool.hpp"
 #include "csecg/rng/distributions.hpp"
 #include "csecg/rng/xoshiro.hpp"
@@ -127,6 +128,7 @@ BENCHMARK(BM_GemvSweep)
     ->Args({64, 64})
     ->Args({96, 512})
     ->Args({240, 512})
+    ->Args({256, 512})
     ->Args({256, 256})
     ->Args({512, 512})
     ->Args({1024, 1024});
@@ -148,7 +150,56 @@ BENCHMARK(BM_GemvTransposeSweep)
     ->Args({64, 64})
     ->Args({96, 512})
     ->Args({240, 512})
+    ->Args({256, 512})
     ->Args({512, 512});
+
+// The same products through LinearOperator::from_matrix on a ±1 matrix,
+// which takes the sign-packed table-lookup kernels (the decoder's Φ at the
+// hybrid m = 96 and normal-CS m = 256 operating points).
+linalg::Matrix sign_matrix(std::size_t rows, std::size_t cols) {
+  rng::Xoshiro256 g(7);
+  linalg::Matrix a(rows, cols);
+  for (std::size_t i = 0; i < rows; ++i) {
+    for (std::size_t j = 0; j < cols; ++j) {
+      a(i, j) = (g.next() >> 63) != 0 ? 1.0 : -1.0;
+    }
+  }
+  return a;
+}
+
+void BM_SignPackedGemv(benchmark::State& state) {
+  const auto m = static_cast<std::size_t>(state.range(0));
+  const auto n = static_cast<std::size_t>(state.range(1));
+  const linalg::LinearOperator phi =
+      linalg::LinearOperator::from_matrix(sign_matrix(m, n));
+  linalg::Vector x(n, 1.0);
+  linalg::Vector y(m);
+  for (auto _ : state) {
+    phi.apply_into(x, y);
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(2 * m * n));
+}
+BENCHMARK(BM_SignPackedGemv)->Args({96, 512})->Args({256, 512});
+
+void BM_SignPackedGemvTranspose(benchmark::State& state) {
+  const auto m = static_cast<std::size_t>(state.range(0));
+  const auto n = static_cast<std::size_t>(state.range(1));
+  const linalg::LinearOperator phi =
+      linalg::LinearOperator::from_matrix(sign_matrix(m, n));
+  linalg::Vector y(m, 1.0);
+  linalg::Vector x(n);
+  for (auto _ : state) {
+    phi.apply_adjoint_into(y, x);
+    benchmark::DoNotOptimize(x.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(2 * m * n));
+}
+BENCHMARK(BM_SignPackedGemvTranspose)->Args({96, 512})->Args({256, 512});
 
 // ThreadPool scaling on an embarrassingly parallel compute-bound loop.
 // On a single-core host the >1-thread variants measure the pool's

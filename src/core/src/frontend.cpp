@@ -424,17 +424,17 @@ LossyDecodeResult Decoder::decode_lossy(const LossyWindow& window) const {
 
 const linalg::Matrix& Decoder::synthesis_dictionary() const {
   std::call_once(dictionary_once_, [this] {
+    const std::size_t m = phi_dense_.rows();
     const std::size_t n = config_.window;
-    const linalg::Matrix phi_dense = sensing_matrix_for(config_, rmpi_);
-    linalg::Matrix a(phi_dense.rows(), n);
+    linalg::Matrix a(m, n);
     linalg::Vector unit(n);
     linalg::Vector atom(n);
-    linalg::Vector column(phi_dense.rows());
+    linalg::Vector column(m);
     for (std::size_t j = 0; j < n; ++j) {
       unit[j] = 1.0;
       dwt_.inverse_into(unit, atom);
-      linalg::multiply_into(phi_dense, atom, column);
-      for (std::size_t i = 0; i < phi_dense.rows(); ++i) a(i, j) = column[i];
+      linalg::multiply_into(phi_dense_, atom, column);
+      for (std::size_t i = 0; i < m; ++i) a(i, j) = column[i];
       unit[j] = 0.0;
     }
     phi_psi_dense_ = std::move(a);

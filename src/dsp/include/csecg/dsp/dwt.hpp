@@ -39,7 +39,8 @@ class Dwt {
 
   /// forward() into a caller-owned vector (resized to size()); avoids the
   /// output allocation on the solver hot path.  x and coeffs must not
-  /// alias.  Thread-safe (scratch is per call).
+  /// alias.  Thread-safe: the level workspace is per thread, so calls
+  /// allocate nothing once a thread has run a transform of this size.
   void forward_into(const linalg::Vector& x, linalg::Vector& coeffs) const;
 
   /// inverse() into a caller-owned vector; same contract as forward_into.

@@ -6,6 +6,18 @@
 #include "csecg/common/check.hpp"
 
 namespace csecg::dsp {
+namespace {
+
+/// Per-thread workspace for forward_into/inverse_into, grown once to the
+/// largest transform the thread has run: no allocation per call in steady
+/// state, and a Dwt shared by pool threads stays safe to use concurrently.
+double* workspace(std::size_t count) {
+  thread_local std::vector<double> scratch;
+  if (scratch.size() < count) scratch.resize(count);
+  return scratch.data();
+}
+
+}  // namespace
 
 Dwt::Dwt(WaveletFamily family, std::size_t n, int levels)
     : wavelet_(make_wavelet(family)), n_(n), levels_(levels) {
@@ -91,11 +103,8 @@ void Dwt::forward_into(const linalg::Vector& x,
   CSECG_CHECK(x.size() == n_, "Dwt::forward expected length "
                                   << n_ << ", got " << x.size());
   coeffs.resize(n_);
-  // One scratch allocation (the per-level workspace); kept local so a
-  // shared Dwt stays safe to use from several threads at once.
-  std::vector<double> scratch(n_ + n_ / 2);
-  double* current = scratch.data();
-  double* approx = scratch.data() + n_;
+  double* current = workspace(n_ + n_ / 2);
+  double* approx = current + n_;
   for (std::size_t i = 0; i < n_; ++i) current[i] = x[i];
   std::size_t len = n_;
   for (int level = 0; level < levels_; ++level) {
@@ -119,10 +128,10 @@ void Dwt::inverse_into(const linalg::Vector& coeffs,
   CSECG_CHECK(coeffs.size() == n_, "Dwt::inverse expected length "
                                        << n_ << ", got " << coeffs.size());
   x = coeffs;
-  std::vector<double> merged(n_);
+  double* merged = workspace(n_);
   std::size_t half = n_ >> levels_;
   for (int level = levels_ - 1; level >= 0; --level) {
-    synthesize_one_level(x.data(), x.data() + half, half, merged.data());
+    synthesize_one_level(x.data(), x.data() + half, half, merged);
     const std::size_t len = 2 * half;
     for (std::size_t i = 0; i < len; ++i) x[i] = merged[i];
     half = len;

@@ -34,7 +34,12 @@ class LinearOperator {
                  Apply adjoint, ApplyInto forward_into,
                  ApplyInto adjoint_into);
 
-  /// Wraps a dense matrix (copies it).
+  /// Wraps a matrix.  If every column j is ±c_j for one c_j > 0 (the
+  /// RMPI chip matrix, with or without leakage), it is stored as sign bits
+  /// plus column scales and applied by multiply-free table-lookup kernels:
+  /// Kᵀ·y is then bit-identical to multiply_transpose for c_j = 1, and K·x
+  /// agrees with multiply to rounding.  Any other matrix is copied and
+  /// applied by the dense gemv kernels.
   static LinearOperator from_matrix(const Matrix& a);
 
   /// Identity operator of order n.

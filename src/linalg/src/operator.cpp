@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "csecg/common/check.hpp"
+#include "sign_packed.hpp"
 
 namespace csecg::linalg {
 
@@ -31,6 +32,26 @@ LinearOperator::LinearOperator(std::size_t rows, std::size_t cols,
 
 LinearOperator LinearOperator::from_matrix(const Matrix& a) {
   CSECG_CHECK(a.rows() > 0 && a.cols() > 0, "from_matrix: empty matrix");
+  if (auto packed = detail::SignPackedMatrix::pack(a)) {
+    const auto shared =
+        std::make_shared<const detail::SignPackedMatrix>(std::move(*packed));
+    return LinearOperator(
+        a.rows(), a.cols(),
+        [shared](const Vector& x) {
+          Vector y;
+          shared->multiply_into(x, y);
+          return y;
+        },
+        [shared](const Vector& y) {
+          Vector x;
+          shared->multiply_transpose_into(y, x);
+          return x;
+        },
+        [shared](const Vector& x, Vector& y) { shared->multiply_into(x, y); },
+        [shared](const Vector& y, Vector& x) {
+          shared->multiply_transpose_into(y, x);
+        });
+  }
   // One shared copy of the matrix across all four callables.
   const auto shared = std::make_shared<const Matrix>(a);
   return LinearOperator(

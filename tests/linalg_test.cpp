@@ -4,13 +4,17 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "csecg/linalg/matrix.hpp"
 #include "csecg/linalg/operator.hpp"
 #include "csecg/linalg/solve.hpp"
 #include "csecg/linalg/vector.hpp"
+#include "csecg/parallel/thread_pool.hpp"
 #include "csecg/rng/distributions.hpp"
 #include "csecg/rng/xoshiro.hpp"
+#include "sign_packed.hpp"
 
 namespace csecg::linalg {
 namespace {
@@ -410,6 +414,159 @@ TEST(LinearOperator, IdentityIsIdentity) {
   const Vector x = random_vector(4, 23);
   EXPECT_EQ(id.apply(x), x);
   EXPECT_EQ(id.apply_adjoint(x), x);
+}
+
+// ---------------------------------------------------------------------------
+// from_matrix on ±c_j matrices (sign-packed kernels) and on everything else
+// (dense kernels).
+
+Matrix sign_matrix(std::size_t rows, std::size_t cols, std::uint64_t seed) {
+  rng::Xoshiro256 g(seed);
+  Matrix a(rows, cols);
+  for (std::size_t i = 0; i < rows; ++i) {
+    for (std::size_t j = 0; j < cols; ++j) {
+      a(i, j) = (g.next() >> 63) != 0 ? 1.0 : -1.0;
+    }
+  }
+  return a;
+}
+
+/// ‖a − b‖₂ / ‖b‖₂.
+double relative_error(const Vector& a, const Vector& b) {
+  return norm2(a - b) / norm2(b);
+}
+
+TEST(SignPackedOperator, AdjointBitIdenticalToDense) {
+  for (const auto& [m, n] : {std::pair<std::size_t, std::size_t>{96, 512},
+                             {256, 512}}) {
+    const Matrix a = sign_matrix(m, n, 30 + m);
+    ASSERT_TRUE(detail::SignPackedMatrix::pack(a).has_value());
+    const LinearOperator op = LinearOperator::from_matrix(a);
+    for (std::uint64_t probe = 0; probe < 3; ++probe) {
+      const Vector q = random_vector(m, 40 + probe);
+      EXPECT_EQ(op.apply_adjoint(q), multiply_transpose(a, q))
+          << m << "x" << n;
+      Vector into;
+      op.apply_adjoint_into(q, into);
+      EXPECT_EQ(into, multiply_transpose(a, q)) << m << "x" << n;
+    }
+  }
+}
+
+TEST(SignPackedOperator, ForwardMatchesDense) {
+  for (const auto& [m, n] : {std::pair<std::size_t, std::size_t>{96, 512},
+                             {256, 512}}) {
+    const Matrix a = sign_matrix(m, n, 50 + m);
+    const LinearOperator op = LinearOperator::from_matrix(a);
+    EXPECT_LT(adjoint_mismatch(op), 1e-12) << m << "x" << n;
+    for (std::uint64_t probe = 0; probe < 3; ++probe) {
+      const Vector x = random_vector(n, 60 + probe);
+      EXPECT_LT(relative_error(op.apply(x), multiply(a, x)), 1e-12);
+      Vector into;
+      op.apply_into(x, into);
+      EXPECT_EQ(into, op.apply(x));
+    }
+  }
+}
+
+TEST(SignPackedOperator, RaggedShapes) {
+  // m and n off multiples of 4 (tail rows, padded column groups), and
+  // larger shapes whose rows and columns split into eight-wide
+  // interleaved runs plus a remainder.
+  for (const auto& [m, n] : {std::pair<std::size_t, std::size_t>{5, 7},
+                             {1, 1},
+                             {3, 2},
+                             {7, 5},
+                             {37, 33},
+                             {66, 130}}) {
+    const Matrix a = sign_matrix(m, n, 70 + 3 * m + n);
+    const LinearOperator op = LinearOperator::from_matrix(a);
+    const Vector x = random_vector(n, 80 + m);
+    const Vector q = random_vector(m, 90 + n);
+    EXPECT_LT(relative_error(op.apply(x), multiply(a, x)), 1e-12)
+        << m << "x" << n;
+    EXPECT_EQ(op.apply_adjoint(q), multiply_transpose(a, q)) << m << "x" << n;
+    EXPECT_LT(adjoint_mismatch(op), 1e-12) << m << "x" << n;
+  }
+}
+
+TEST(SignPackedOperator, LeakyColumnScalesMatchDense) {
+  // The RMPI matrix with integrator leakage: column j is ±(1 − λ)^(n−1−j).
+  const std::size_t m = 96;
+  const std::size_t n = 512;
+  Matrix a = sign_matrix(m, n, 100);
+  for (std::size_t j = 0; j < n; ++j) {
+    const double w = std::pow(0.99, static_cast<double>(n - 1 - j));
+    for (std::size_t i = 0; i < m; ++i) a(i, j) *= w;
+  }
+  ASSERT_TRUE(detail::SignPackedMatrix::pack(a).has_value());
+  const LinearOperator op = LinearOperator::from_matrix(a);
+  const Vector x = random_vector(n, 101);
+  const Vector q = random_vector(m, 102);
+  EXPECT_LT(relative_error(op.apply(x), multiply(a, x)), 1e-12);
+  EXPECT_LT(relative_error(op.apply_adjoint(q), multiply_transpose(a, q)),
+            1e-12);
+  EXPECT_LT(adjoint_mismatch(op), 1e-12);
+}
+
+TEST(SignPackedOperator, OtherMatricesStayDense) {
+  const std::size_t m = 24;
+  const std::size_t n = 64;
+  Matrix sparse_binary(m, n);
+  rng::Xoshiro256 g(120);
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      sparse_binary(i, j) = (g.next() >> 62) == 0 ? 1.0 : 0.0;
+    }
+  }
+  Matrix zero_column = sign_matrix(m, n, 121);
+  for (std::size_t i = 0; i < m; ++i) zero_column(i, 5) = 0.0;
+  Matrix mixed_magnitude = sign_matrix(m, n, 122);
+  mixed_magnitude(3, 9) = 2.0;
+  Matrix not_a_number = sign_matrix(m, n, 124);
+  not_a_number(7, 2) = std::nan("");
+  EXPECT_FALSE(detail::SignPackedMatrix::pack(not_a_number).has_value());
+  for (const Matrix& a : {random_matrix(m, n, 123), sparse_binary,
+                          zero_column, mixed_magnitude}) {
+    EXPECT_FALSE(detail::SignPackedMatrix::pack(a).has_value());
+    const LinearOperator op = LinearOperator::from_matrix(a);
+    for (std::uint64_t probe = 0; probe < 3; ++probe) {
+      const Vector x = random_vector(n, 130 + probe);
+      const Vector q = random_vector(m, 140 + probe);
+      EXPECT_EQ(op.apply(x), multiply(a, x));
+      EXPECT_EQ(op.apply_adjoint(q), multiply_transpose(a, q));
+    }
+  }
+}
+
+TEST(SignPackedOperator, SharedOperatorIsThreadSafe) {
+  // One operator applied from every pool thread at once (as one Decoder
+  // serves all workers): each thread's table scratch is its own, so every
+  // result equals the serial one.
+  const std::size_t m = 96;
+  const std::size_t n = 512;
+  const LinearOperator op =
+      LinearOperator::from_matrix(sign_matrix(m, n, 150));
+  constexpr std::size_t kTasks = 64;
+  std::vector<Vector> xs;
+  std::vector<Vector> qs;
+  for (std::size_t t = 0; t < kTasks; ++t) {
+    xs.push_back(random_vector(n, 200 + t));
+    qs.push_back(random_vector(m, 300 + t));
+  }
+  std::vector<Vector> forward(kTasks);
+  std::vector<Vector> adjoint(kTasks);
+  parallel::ThreadPool pool(4);
+  pool.parallel_for(0, kTasks, [&](std::size_t t) {
+    for (int rep = 0; rep < 20; ++rep) {
+      op.apply_into(xs[t], forward[t]);
+      op.apply_adjoint_into(qs[t], adjoint[t]);
+    }
+  });
+  for (std::size_t t = 0; t < kTasks; ++t) {
+    EXPECT_EQ(forward[t], op.apply(xs[t])) << t;
+    EXPECT_EQ(adjoint[t], op.apply_adjoint(qs[t])) << t;
+  }
 }
 
 TEST(OperatorNorm, MatchesKnownSingularValue) {
