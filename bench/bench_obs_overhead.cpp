@@ -1,6 +1,6 @@
 // Observability overhead tracker (ISSUE 3).
 //
-// Runs the same run_database workload as bench_runner_throughput twice —
+// Runs a run_database workload on the shared synthetic database twice —
 // with timing instrumentation armed (obs::set_enabled(true), the default)
 // and disarmed — interleaving the arms over several repetitions so slow
 // drift (turbo, thermal) hits both equally, and reports the throughput

@@ -1,16 +1,16 @@
-// Tracing/ledger overhead tracker (ISSUE 4).
+// Tracing overhead tracker.
 //
 // Three interleaved arms over the run_database workload:
 //
-//   dark     obs off, trace off, ledger off — the floor.
-//   default  obs on (the shipping default), trace + ledger off.  The gated
+//   dark     obs off, trace off — the floor.
+//   default  obs on (the shipping default), trace off.  The gated
 //            number is this arm's cost over `dark`: the tracing hooks sit
 //            on the encode/decode/solver hot paths even when disarmed, so
 //            this catches a disabled-path regression (a branch that became
 //            an allocation, say).  Bar < 2%, CI gate 5%.
-//   tracing  obs + trace + ledger on — the cost of actually recording a
-//            timeline and a quality ledger.  Reported for the record, not
-//            gated: rings fill and the arm pays for JSON-able strings.
+//   tracing  obs + trace on — the cost of actually recording a timeline.
+//            Reported for the record, not gated: rings fill and the arm
+//            pays for JSON-able strings.
 //
 // Results land in BENCH_trace.json.
 #include <algorithm>
@@ -19,7 +19,6 @@
 
 #include "bench_common.hpp"
 #include "csecg/core/runner.hpp"
-#include "csecg/obs/ledger.hpp"
 #include "csecg/obs/registry.hpp"
 #include "csecg/obs/trace.hpp"
 #include "csecg/parallel/thread_pool.hpp"
@@ -33,21 +32,19 @@ double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-void arm(bool obs_on, bool trace_on, bool ledger_on) {
+void arm(bool obs_on, bool trace_on) {
   obs::set_enabled(obs_on);
   obs::set_trace_enabled(trace_on);
-  obs::set_ledger_enabled(ledger_on);
-  // Start each rep from empty buffers: a full ring silently stops costing
+  // Start each rep from an empty ring: a full ring silently stops costing
   // anything, which would flatter the tracing arm.
   obs::trace_reset();
-  obs::ledger_reset();
 }
 
 }  // namespace
 
 int main() {
   bench::print_header("bench_trace_overhead",
-                      "ISSUE 4 — tracing + ledger throughput cost");
+                      "tracing throughput cost");
 
   const auto& database = bench::shared_database();
   core::FrontEndConfig config;
@@ -61,7 +58,7 @@ int main() {
                                  // behind thread scheduling noise.
 
   for (std::size_t r = 0; r < records; ++r) (void)database.record(r);
-  arm(true, false, false);
+  arm(true, false);
   (void)core::run_database(codec, database, records, windows,
                            core::DecodeMode::kAuto, pool);
 
@@ -76,7 +73,7 @@ int main() {
   // compares three arms.
   std::printf("arm,rep,seconds,windows_per_sec\n");
   for (int rep = 0; rep < kReps; ++rep) {
-    arm(false, false, false);
+    arm(false, false);
     auto start = Clock::now();
     (void)core::run_database(codec, database, records, windows,
                              core::DecodeMode::kAuto, pool);
@@ -85,7 +82,7 @@ int main() {
     std::printf("dark,%d,%.4f,%.2f\n", rep, dark_seconds,
                 static_cast<double>(total_windows) / dark_seconds);
 
-    arm(true, false, false);
+    arm(true, false);
     start = Clock::now();
     (void)core::run_database(codec, database, records, windows,
                              core::DecodeMode::kAuto, pool);
@@ -94,7 +91,7 @@ int main() {
     std::printf("default,%d,%.4f,%.2f\n", rep, default_seconds,
                 static_cast<double>(total_windows) / default_seconds);
 
-    arm(true, true, true);
+    arm(true, true);
     start = Clock::now();
     (void)core::run_database(codec, database, records, windows,
                              core::DecodeMode::kAuto, pool);
@@ -103,7 +100,7 @@ int main() {
     std::printf("tracing,%d,%.4f,%.2f\n", rep, tracing_seconds,
                 static_cast<double>(total_windows) / tracing_seconds);
   }
-  arm(true, false, false);  // Leave the process in the shipping default.
+  arm(true, false);  // Leave the process in the shipping default.
 
   const double dark_wps = static_cast<double>(total_windows) / dark_best;
   const double default_wps = static_cast<double>(total_windows) / default_best;

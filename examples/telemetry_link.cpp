@@ -13,7 +13,6 @@
 #include <cstdlib>
 
 #include "csecg/link/session.hpp"
-#include "csecg/obs/ledger.hpp"
 #include "csecg/obs/registry.hpp"
 #include "csecg/obs/trace.hpp"
 
@@ -121,15 +120,11 @@ int main(int argc, char** argv) {
   // timings — in one scrape (pipe through `jq` for a pretty view).
   std::printf("\nobs snapshot:\n%s\n", obs::snapshot_json().c_str());
 
-  // With CSECG_TRACE=1 / CSECG_LEDGER=1 the run also leaves artifacts
-  // behind: a Perfetto-loadable timeline and the per-window quality ledger.
+  // With CSECG_TRACE=1 the run also leaves a Perfetto-loadable timeline
+  // behind.  The per-window quality ledger is run_report's job.
   if (obs::trace_enabled() && write_file("trace.json", obs::trace_json())) {
     std::printf("wrote trace.json (%zu events — open in ui.perfetto.dev)\n",
                 obs::trace_event_count());
-  }
-  if (obs::ledger_enabled() &&
-      write_file("ledger.jsonl", obs::ledger_jsonl())) {
-    std::printf("wrote ledger.jsonl (%zu rows)\n", obs::ledger_size());
   }
   return 0;
 }

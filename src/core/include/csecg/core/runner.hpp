@@ -65,7 +65,7 @@ struct RecordReport {
   /// Indices of windows whose SNR fell below the robust (MAD-based) lower
   /// fence `median − 3.5·1.4826·MAD` over this record's windows.  Empty for
   /// clean records; the same indices are marked `"outlier":true` in the
-  /// quality ledger rows.
+  /// to_jsonl() rows.
   std::vector<std::size_t> outlier_windows;
   /// The SNR fence (dB) the flags above were cut at.
   double outlier_snr_threshold_db = 0.0;
@@ -76,21 +76,14 @@ struct RecordReport {
 /// into a pre-sized slot and the aggregates are reduced in window order,
 /// so the report is bit-identical for any thread count.  Throws
 /// std::invalid_argument if the record is too short.
-///
-/// When obs::ledger_enabled(), one quality-ledger row per window is
-/// appended during the ordered reduction with sequence `ledger_base + w`;
-/// rows carry only deterministic fields, so the merged ledger is
-/// bit-identical across thread counts too.
 RecordReport run_record(const Codec& codec, const ecg::EcgRecord& record,
                         std::size_t window_count, DecodeMode mode,
-                        parallel::ThreadPool& pool,
-                        std::uint64_t ledger_base = 0);
+                        parallel::ThreadPool& pool);
 
 /// run_record on the process-wide pool (CSECG_THREADS controls its size).
 RecordReport run_record(const Codec& codec, const ecg::EcgRecord& record,
                         std::size_t window_count,
-                        DecodeMode mode = DecodeMode::kAuto,
-                        std::uint64_t ledger_base = 0);
+                        DecodeMode mode = DecodeMode::kAuto);
 
 /// Runs the first `record_count` database records, fanning records out
 /// across the pool (window decodes inside each record then run inline).
@@ -109,6 +102,15 @@ std::vector<RecordReport> run_database(const Codec& codec,
                                        std::size_t record_count,
                                        std::size_t windows_per_record,
                                        DecodeMode mode = DecodeMode::kAuto);
+
+/// The per-window quality ledger of `reports`, decoded by `decoder` in
+/// `mode`: one JSONL row per window, newline-terminated, in report order.
+/// A row's `seq` is the window's position across all `reports` (record r,
+/// window w of a run_database result gets r·windows_per_record + w).  Rows
+/// carry only deterministic facts — no wall-clock times — so the ledger of
+/// a run is byte-identical for any thread count.
+std::string to_jsonl(const std::vector<RecordReport>& reports,
+                     const Decoder& decoder, DecodeMode mode);
 
 /// Mean of per-record mean SNRs (the paper's "averaged SNR over records").
 double averaged_snr(const std::vector<RecordReport>& reports);

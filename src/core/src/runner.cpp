@@ -6,7 +6,6 @@
 #include "csecg/metrics/quality.hpp"
 #include "csecg/metrics/stats.hpp"
 #include "csecg/obs/json.hpp"
-#include "csecg/obs/ledger.hpp"
 #include "csecg/obs/registry.hpp"
 #include "csecg/obs/trace.hpp"
 
@@ -28,7 +27,7 @@ const char* decode_mode_name(DecodeMode mode) {
 
 /// One quality-ledger JSONL row for a cleanly decoded window.  Every field
 /// is deterministic (no wall-clock times — those live in the trace and the
-/// histograms), which is what makes the merged ledger bit-identical across
+/// histograms), which is what makes the ledger bit-identical across
 /// CSECG_THREADS settings.
 std::string ledger_row(const RecordReport& report, std::size_t w,
                        std::uint64_t seq, const FrontEndConfig& config,
@@ -77,8 +76,7 @@ std::string ledger_row(const RecordReport& report, std::size_t w,
 
 RecordReport run_record(const Codec& codec, const ecg::EcgRecord& record,
                         std::size_t window_count, DecodeMode mode,
-                        parallel::ThreadPool& pool,
-                        std::uint64_t ledger_base) {
+                        parallel::ThreadPool& pool) {
   CSECG_CHECK(window_count > 0, "run_record: window_count must be positive");
   const FrontEndConfig& config = codec.config();
   const auto windows =
@@ -166,8 +164,8 @@ RecordReport run_record(const Codec& codec, const ecg::EcgRecord& record,
 
   // Robust per-record quality fence: a window is an outlier when its SNR
   // drops below median − 3.5·1.4826·MAD over this record.  The fence and
-  // flags depend only on the (deterministic) per-window metrics, so both
-  // the report and the ledger rows below are thread-count-invariant.
+  // flags depend only on the (deterministic) per-window metrics, so the
+  // report is thread-count-invariant.
   std::vector<double> snrs(report.windows.size());
   for (std::size_t w = 0; w < report.windows.size(); ++w) {
     snrs[w] = report.windows[w].snr;
@@ -175,27 +173,13 @@ RecordReport run_record(const Codec& codec, const ecg::EcgRecord& record,
   report.outlier_snr_threshold_db = metrics::mad_low_threshold(snrs);
   report.outlier_windows = metrics::mad_low_outliers(snrs);
 
-  if (obs::ledger_enabled()) {
-    const double sigma = codec.decoder().sigma();
-    std::size_t next_outlier = 0;
-    for (std::size_t w = 0; w < report.windows.size(); ++w) {
-      const bool outlier = next_outlier < report.outlier_windows.size() &&
-                           report.outlier_windows[next_outlier] == w;
-      if (outlier) ++next_outlier;
-      obs::Ledger::global().append(
-          ledger_base + w,
-          ledger_row(report, w, ledger_base + w, config, sigma, mode,
-                     outlier));
-    }
-  }
   return report;
 }
 
 RecordReport run_record(const Codec& codec, const ecg::EcgRecord& record,
-                        std::size_t window_count, DecodeMode mode,
-                        std::uint64_t ledger_base) {
+                        std::size_t window_count, DecodeMode mode) {
   return run_record(codec, record, window_count, mode,
-                    parallel::global_pool(), ledger_base);
+                    parallel::global_pool());
 }
 
 std::vector<RecordReport> run_database(const Codec& codec,
@@ -212,11 +196,8 @@ std::vector<RecordReport> run_database(const Codec& codec,
   // serial run.
   std::vector<RecordReport> reports(record_count);
   pool.parallel_for(0, record_count, [&](std::size_t r) {
-    // Ledger sequence numbers tile the database run: record r owns
-    // [r·wpr, (r+1)·wpr), so the merged ledger sorts into database order.
     reports[r] =
-        run_record(codec, database.record(r), windows_per_record, mode, pool,
-                   static_cast<std::uint64_t>(r * windows_per_record));
+        run_record(codec, database.record(r), windows_per_record, mode, pool);
   });
   return reports;
 }
@@ -228,6 +209,24 @@ std::vector<RecordReport> run_database(const Codec& codec,
                                        DecodeMode mode) {
   return run_database(codec, database, record_count, windows_per_record,
                       mode, parallel::global_pool());
+}
+
+std::string to_jsonl(const std::vector<RecordReport>& reports,
+                     const Decoder& decoder, DecodeMode mode) {
+  std::string out;
+  std::uint64_t seq = 0;
+  for (const RecordReport& report : reports) {
+    std::size_t next_outlier = 0;
+    for (std::size_t w = 0; w < report.windows.size(); ++w, ++seq) {
+      const bool outlier = next_outlier < report.outlier_windows.size() &&
+                           report.outlier_windows[next_outlier] == w;
+      if (outlier) ++next_outlier;
+      out += ledger_row(report, w, seq, decoder.config(), decoder.sigma(),
+                        mode, outlier);
+      out += '\n';
+    }
+  }
+  return out;
 }
 
 double averaged_snr(const std::vector<RecordReport>& reports) {

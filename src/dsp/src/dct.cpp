@@ -54,8 +54,12 @@ linalg::LinearOperator Dct::synthesis_operator() const {
   const Dct self = *this;
   return linalg::LinearOperator(
       n_, n_,
-      [self](const linalg::Vector& coeffs) { return self.inverse(coeffs); },
-      [self](const linalg::Vector& x) { return self.forward(x); });
+      [self](const linalg::Vector& coeffs, linalg::Vector& x) {
+        x = self.inverse(coeffs);
+      },
+      [self](const linalg::Vector& x, linalg::Vector& coeffs) {
+        coeffs = self.forward(x);
+      });
 }
 
 }  // namespace csecg::dsp

@@ -145,12 +145,10 @@ linalg::Vector Dwt::inverse(const linalg::Vector& coeffs) const {
 }
 
 linalg::LinearOperator Dwt::synthesis_operator() const {
-  // One shared transform instance behind all four callables.
+  // One shared transform instance behind both callables.
   const auto self = std::make_shared<const Dwt>(*this);
   return linalg::LinearOperator(
       n_, n_,
-      [self](const linalg::Vector& coeffs) { return self->inverse(coeffs); },
-      [self](const linalg::Vector& x) { return self->forward(x); },
       [self](const linalg::Vector& coeffs, linalg::Vector& x) {
         self->inverse_into(coeffs, x);
       },

@@ -158,6 +158,12 @@ std::vector<LinkRecordReport> run_link_database(
     const LinkSession& session, const ecg::SyntheticDatabase& database,
     std::size_t record_count, std::size_t windows_per_record);
 
+/// The per-window quality ledger of `reports`, streamed through `session`:
+/// one JSONL row per window, newline-terminated, in report order, with
+/// `seq` the window's position across all `reports` (see core::to_jsonl).
+std::string to_jsonl(const std::vector<LinkRecordReport>& reports,
+                     const LinkSession& session);
+
 /// Mean of per-record mean SNRs.
 double averaged_link_snr(const std::vector<LinkRecordReport>& reports);
 

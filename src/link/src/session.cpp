@@ -8,7 +8,6 @@
 #include "csecg/metrics/quality.hpp"
 #include "csecg/metrics/stats.hpp"
 #include "csecg/obs/json.hpp"
-#include "csecg/obs/ledger.hpp"
 #include "csecg/obs/registry.hpp"
 #include "csecg/obs/span.hpp"
 #include "csecg/obs/trace.hpp"
@@ -290,18 +289,6 @@ LinkRecordReport run_link_record(const LinkSession& session,
   report.outlier_snr_threshold_db = metrics::mad_low_threshold(snrs);
   report.outlier_windows = metrics::mad_low_outliers(snrs);
 
-  if (obs::ledger_enabled()) {
-    const double sigma_full = session.decoder().sigma();
-    std::size_t next_outlier = 0;
-    for (std::size_t w = 0; w < report.windows.size(); ++w) {
-      const bool outlier = next_outlier < report.outlier_windows.size() &&
-                           report.outlier_windows[next_outlier] == w;
-      if (outlier) ++next_outlier;
-      const std::uint64_t seq = static_cast<std::uint64_t>(base_sequence) + w;
-      obs::Ledger::global().append(
-          seq, link_ledger_row(report, w, seq, config, sigma_full, outlier));
-    }
-  }
   return report;
 }
 
@@ -333,6 +320,24 @@ std::vector<LinkRecordReport> run_link_database(
     std::size_t record_count, std::size_t windows_per_record) {
   return run_link_database(session, database, record_count,
                            windows_per_record, parallel::global_pool());
+}
+
+std::string to_jsonl(const std::vector<LinkRecordReport>& reports,
+                     const LinkSession& session) {
+  std::string out;
+  std::uint64_t seq = 0;
+  for (const LinkRecordReport& report : reports) {
+    std::size_t next_outlier = 0;
+    for (std::size_t w = 0; w < report.windows.size(); ++w, ++seq) {
+      const bool outlier = next_outlier < report.outlier_windows.size() &&
+                           report.outlier_windows[next_outlier] == w;
+      if (outlier) ++next_outlier;
+      out += link_ledger_row(report, w, seq, session.config(),
+                             session.decoder().sigma(), outlier);
+      out += '\n';
+    }
+  }
+  return out;
 }
 
 double averaged_link_snr(const std::vector<LinkRecordReport>& reports) {

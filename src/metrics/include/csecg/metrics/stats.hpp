@@ -47,8 +47,9 @@ BoxStats box_stats(const std::vector<double>& values);
 double mad_low_threshold(const std::vector<double>& values, double k = 3.5);
 
 /// Indices of values strictly below mad_low_threshold(values, k), in
-/// ascending index order — the per-window "anomalously bad SNR" flagging
-/// the quality ledger surfaces.  Throws on an empty sample.
+/// ascending index order — the per-window "anomalously bad SNR" flags the
+/// run reports carry (`outlier_windows`) and to_jsonl() writes out.  Throws
+/// on an empty sample.
 std::vector<std::size_t> mad_low_outliers(const std::vector<double>& values,
                                           double k = 3.5);
 

@@ -1,6 +1,6 @@
 // Locale-independent JSON fragment builders shared by every obs exporter
-// (snapshot_json, trace_json, the window ledger) and by callers that emit
-// machine-readable rows (the experiment runners, run_report).
+// (snapshot_json, trace_json) and by callers that emit machine-readable
+// rows (the runners' to_jsonl ledgers, run_report).
 //
 // Why not printf/iostreams: "%.17g" renders 2.5 as "2,5" under a
 // comma-decimal LC_NUMERIC locale, and an imbued std::locale can group

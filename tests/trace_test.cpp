@@ -1,6 +1,6 @@
 // Tests for the tracing ring buffers, the Chrome trace-event export, the
-// per-window quality ledger, and the MAD outlier flags the runners attach
-// to their reports (ISSUE 4).
+// per-window quality ledger (to_jsonl), and the MAD outlier flags the
+// runners attach to their reports.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,7 +12,6 @@
 
 #include "csecg/core/runner.hpp"
 #include "csecg/link/session.hpp"
-#include "csecg/obs/ledger.hpp"
 #include "csecg/obs/registry.hpp"
 #include "csecg/obs/trace.hpp"
 #include "csecg/parallel/thread_pool.hpp"
@@ -20,21 +19,17 @@
 namespace csecg {
 namespace {
 
-// The trace/ledger gates are process-wide, so every test pins them to the
-// state it needs and drops back to disabled on exit.
+// The trace gate is process-wide, so every test pins it to the state it
+// needs and drops back to disabled on exit.
 class TraceTest : public ::testing::Test {
  protected:
   void SetUp() override {
     obs::set_trace_enabled(false);
-    obs::set_ledger_enabled(false);
     obs::trace_reset();
-    obs::ledger_reset();
   }
   void TearDown() override {
     obs::set_trace_enabled(false);
-    obs::set_ledger_enabled(false);
     obs::trace_reset();
-    obs::ledger_reset();
   }
 };
 
@@ -144,39 +139,6 @@ TEST_F(TraceTest, ConcurrentWritersAllLand) {
   expect_balanced_json(obs::trace_json());
 }
 
-TEST_F(TraceTest, LedgerMergesOutOfOrderAppendsBySequence) {
-  obs::Ledger ledger;
-  ledger.append(2, "{\"w\":2}");
-  ledger.append(0, "{\"w\":0}");
-  ledger.append(1, "{\"w\":1}");
-  EXPECT_EQ(ledger.size(), 3u);
-  EXPECT_EQ(ledger.jsonl(), "{\"w\":0}\n{\"w\":1}\n{\"w\":2}\n");
-  ledger.reset();
-  EXPECT_EQ(ledger.size(), 0u);
-  EXPECT_EQ(ledger.jsonl(), "");
-}
-
-TEST_F(TraceTest, LedgerMergesAppendsFromManyThreads) {
-  obs::Ledger ledger;
-  constexpr std::size_t kThreads = 4;
-  constexpr std::size_t kRows = 64;
-  std::vector<std::thread> threads;
-  for (std::size_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&ledger, t] {
-      for (std::size_t i = t; i < kRows; i += kThreads) {
-        ledger.append(i, "{\"row\":" + std::to_string(i) + "}");
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(ledger.size(), kRows);
-  std::string expected;
-  for (std::size_t i = 0; i < kRows; ++i) {
-    expected += "{\"row\":" + std::to_string(i) + "}\n";
-  }
-  EXPECT_EQ(ledger.jsonl(), expected);
-}
-
 // A small but real front end, shared by the end-to-end ledger tests.
 core::FrontEndConfig small_config() {
   core::FrontEndConfig config;
@@ -195,18 +157,17 @@ TEST_F(TraceTest, RunRecordLedgerIsBitIdenticalAcrossThreadCounts) {
   const auto codec_book = core::train_lowres_codec(config, database, 2, 2);
   const core::Codec codec(config, codec_book);
 
-  obs::set_ledger_enabled(true);
-
   parallel::ThreadPool serial(1);
-  (void)core::run_database(codec, database, 2, 4, core::DecodeMode::kAuto,
-                           serial);
-  const std::string serial_ledger = obs::ledger_jsonl();
-  obs::ledger_reset();
+  const std::string serial_ledger = core::to_jsonl(
+      core::run_database(codec, database, 2, 4, core::DecodeMode::kAuto,
+                         serial),
+      codec.decoder(), core::DecodeMode::kAuto);
 
   parallel::ThreadPool threaded(4);
-  (void)core::run_database(codec, database, 2, 4, core::DecodeMode::kAuto,
-                           threaded);
-  const std::string threaded_ledger = obs::ledger_jsonl();
+  const std::string threaded_ledger = core::to_jsonl(
+      core::run_database(codec, database, 2, 4, core::DecodeMode::kAuto,
+                         threaded),
+      codec.decoder(), core::DecodeMode::kAuto);
 
   ASSERT_FALSE(serial_ledger.empty());
   EXPECT_EQ(serial_ledger, threaded_ledger);
@@ -223,7 +184,18 @@ TEST_F(TraceTest, RunRecordLedgerIsBitIdenticalAcrossThreadCounts) {
   EXPECT_EQ(serial_ledger.find(",\","), std::string::npos);
 }
 
-TEST_F(TraceTest, LedgerDisabledRecordsNoRows) {
+/// The `seq` values of a ledger's rows, in row order.
+std::vector<std::uint64_t> ledger_seqs(const std::string& ledger) {
+  const std::string key = "\"seq\":";
+  std::vector<std::uint64_t> seqs;
+  for (std::size_t at = ledger.find(key); at != std::string::npos;
+       at = ledger.find(key, at + 1)) {
+    seqs.push_back(std::stoull(ledger.substr(at + key.size())));
+  }
+  return seqs;
+}
+
+TEST_F(TraceTest, SeparateRunsGiveIndependentLedgers) {
   ecg::RecordConfig record_config;
   record_config.duration_seconds = 20.0;
   const ecg::SyntheticDatabase database(record_config, 2015);
@@ -231,11 +203,21 @@ TEST_F(TraceTest, LedgerDisabledRecordsNoRows) {
   const auto codec_book = core::train_lowres_codec(config, database, 2, 2);
   const core::Codec codec(config, codec_book);
 
-  ASSERT_FALSE(obs::ledger_enabled());
-  parallel::ThreadPool pool(1);
-  (void)core::run_record(codec, database.record(0), 2,
-                         core::DecodeMode::kAuto, pool);
-  EXPECT_EQ(obs::ledger_size(), 0u);
+  // Two runs in one process; each ledger numbers only its own windows.
+  parallel::ThreadPool pool(2);
+  const std::string first = core::to_jsonl(
+      core::run_database(codec, database, 2, 2, core::DecodeMode::kAuto,
+                         pool),
+      codec.decoder(), core::DecodeMode::kAuto);
+  const std::string second = core::to_jsonl(
+      core::run_database(codec, database, 3, 1, core::DecodeMode::kHybrid,
+                         pool),
+      codec.decoder(), core::DecodeMode::kHybrid);
+
+  EXPECT_EQ(ledger_seqs(first), (std::vector<std::uint64_t>{0, 1, 2, 3}));
+  EXPECT_EQ(ledger_seqs(second), (std::vector<std::uint64_t>{0, 1, 2}));
+  EXPECT_EQ(first.find("\"decode_mode\":\"hybrid\""), std::string::npos);
+  EXPECT_EQ(second.find("\"decode_mode\":\"auto\""), std::string::npos);
 }
 
 TEST_F(TraceTest, LinkLedgerRowsCarryLossAccounting) {
@@ -250,12 +232,11 @@ TEST_F(TraceTest, LinkLedgerRowsCarryLossAccounting) {
   link_config.channel.erasure_rate = 0.1;
   const link::LinkSession session(config, codec_book, link_config);
 
-  obs::set_ledger_enabled(true);
   parallel::ThreadPool pool(2);
   const link::LinkRecordReport report =
       link::run_link_record(session, database.record(0), 4, 0, pool);
 
-  const std::string ledger = obs::ledger_jsonl();
+  const std::string ledger = link::to_jsonl({report}, session);
   ASSERT_FALSE(ledger.empty());
   EXPECT_EQ(static_cast<std::size_t>(
                 std::count(ledger.begin(), ledger.end(), '\n')),

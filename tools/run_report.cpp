@@ -1,7 +1,7 @@
 // run_report: one-command observability report for a front-end run.
 //
-// Runs a synthetic-database experiment with the quality ledger (and
-// optionally tracing) armed, then prints a human-readable report: the
+// Runs a synthetic-database experiment (optionally traced), then prints a
+// human-readable report: the
 // per-record table, the worst-N windows by SNR, the MAD-flagged outliers
 // and the headline pipeline counters.  On request it also drops the raw
 // artifacts next to the report:
@@ -21,12 +21,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "csecg/core/runner.hpp"
 #include "csecg/link/session.hpp"
-#include "csecg/obs/ledger.hpp"
 #include "csecg/obs/registry.hpp"
 #include "csecg/obs/trace.hpp"
 
@@ -131,7 +131,8 @@ void print_worst(std::vector<RankedWindow> ranked, std::size_t worst) {
   }
 }
 
-int run_clean(const Options& opts) {
+/// Runs the clean codec, prints its report and returns its ledger.
+std::string run_clean(const Options& opts) {
   ecg::RecordConfig record_config;
   record_config.duration_seconds = 30.0;
   const ecg::SyntheticDatabase database(record_config, 2015);
@@ -167,10 +168,11 @@ int run_clean(const Options& opts) {
     }
   }
   print_worst(std::move(ranked), opts.worst);
-  return 0;
+  return core::to_jsonl(reports, codec.decoder(), core::DecodeMode::kAuto);
 }
 
-int run_link(const Options& opts) {
+/// Runs the lossy link, prints its report and returns its ledger.
+std::string run_link(const Options& opts) {
   ecg::RecordConfig record_config;
   record_config.duration_seconds = 30.0;
   const ecg::SyntheticDatabase database(record_config, 2015);
@@ -218,7 +220,7 @@ int run_link(const Options& opts) {
     }
   }
   print_worst(std::move(ranked), opts.worst);
-  return 0;
+  return link::to_jsonl(reports, session);
 }
 
 }  // namespace
@@ -226,13 +228,17 @@ int run_link(const Options& opts) {
 int main(int argc, char** argv) {
   const Options opts = parse_options(argc, argv);
 
-  // The ledger is this tool's raison d'être; tracing only when asked (it
-  // costs a per-thread ring buffer).
-  obs::set_ledger_enabled(true);
+  // Tracing only when asked (it costs a per-thread ring buffer).
   if (opts.trace_path != nullptr) obs::set_trace_enabled(true);
 
-  const int status = opts.link ? run_link(opts) : run_clean(opts);
-  if (status != 0) return status;
+  std::string ledger;
+  try {
+    ledger = opts.link ? run_link(opts) : run_clean(opts);
+  } catch (const std::invalid_argument& e) {
+    // Counts the database or its records cannot satisfy.
+    std::fprintf(stderr, "run_report: %s\n", e.what());
+    return 1;
+  }
 
   // Headline counters, straight from the registry the run fed.
   std::printf("\npipeline counters:\n");
@@ -246,10 +252,10 @@ int main(int argc, char** argv) {
                                static_cast<unsigned long long>(value));
   }
 
-  if (opts.ledger_path != nullptr &&
-      write_file(opts.ledger_path, obs::ledger_jsonl())) {
+  if (opts.ledger_path != nullptr && write_file(opts.ledger_path, ledger)) {
     std::printf("\nwrote %s (%zu rows)\n", opts.ledger_path,
-                obs::ledger_size());
+                static_cast<std::size_t>(
+                    std::count(ledger.begin(), ledger.end(), '\n')));
   }
   if (opts.trace_path != nullptr &&
       write_file(opts.trace_path, obs::trace_json())) {
