@@ -1,12 +1,13 @@
-// Solver convergence bench: what the PDHG stopping tolerance and the
-// dual/primal step ratio buy.
+// Solver convergence bench: what the PDHG stopping tolerance, the
+// dual/primal step ratio and the relaxation ρ buy.
 //
 // For the hybrid config (m = 96 plus the 7-bit side channel) and the
 // normal-CS config (m = 256, no side channel), every window is encoded
-// once and decoded at each point of two sweeps: the x-change tolerance at
-// the default dual_primal_ratio, and dual_primal_ratio at the default
-// tolerance.  Each window is decoded once more as the reference: a
-// 30000-iteration cap with a tolerance far below the sweep.  Per point it
+// once and decoded at each point of three sweeps, each varying one
+// setting with the others at their defaults: the x-change tolerance,
+// dual_primal_ratio, and relaxation.  Each window is decoded once more as
+// the reference: plain CP (ρ = 1) with a 30000-iteration cap and a
+// tolerance far below the sweep.  Per point it
 // records mean and p95 iterations, the converged fraction, the exit
 // reasons, mean SNR, the mean |SNR − reference SNR| gap and wall ms per
 // window (windows run concurrently on the thread pool).
@@ -14,9 +15,9 @@
 // Window set: records [0, CSECG_RECORDS) × CSECG_WINDOWS windows of the
 // seed-2015 database, default 16 × 4 — the decode benchmark's reference
 // set.  Results land in BENCH_solver.json.  Exits 2 when, on either
-// config, fewer than 95% of the windows converge at the default settings
-// or the default ratio needs more than 1.25× the mean iterations of the
-// best swept ratio.
+// config, fewer than 95% of the windows converge at the default settings,
+// or the default ratio or relaxation needs more than 1.25× the mean
+// iterations of the best swept value.
 #include <algorithm>
 #include <array>
 #include <chrono>
@@ -41,6 +42,7 @@ constexpr double kMinConvergedFrac = 0.95;
 constexpr double kMaxIterationsOverBest = 1.25;
 const std::vector<double> kTolerances = {1e-5, 3e-5, 5e-5, 1e-4};
 const std::vector<double> kRatios = {1e-4, 2e-4, 4e-4, 8e-4, 1.6e-3, 1e-2};
+const std::vector<double> kRelaxations = {1.0, 1.5, 1.8, 1.9, 1.95};
 constexpr std::size_t kExitReasons = 4;
 
 struct WindowOutcome {
@@ -54,6 +56,7 @@ struct WindowOutcome {
 struct Row {
   double tol = 0.0;
   double ratio = 0.0;
+  double relaxation = 0.0;
   int max_iterations = 0;
   double iterations_mean = 0.0;
   double iterations_p95 = 0.0;
@@ -69,12 +72,14 @@ struct ConfigRun {
   std::string name;
   core::FrontEndConfig config;
   Row reference;
-  std::vector<Row> tol_sweep;    ///< At the default ratio.
-  std::vector<Row> ratio_sweep;  ///< At the default tolerance.
+  std::vector<Row> tol_sweep;
+  std::vector<Row> ratio_sweep;
+  std::vector<Row> relax_sweep;
   /// Gate inputs: the default-settings row, and its mean iterations over
-  /// the fewest of any swept ratio.
+  /// the fewest of any swept ratio and of any swept relaxation.
   double converged_frac = 0.0;
   double iterations_over_best = 0.0;
+  double relaxation_over_best = 0.0;
   bool pass = false;
 };
 
@@ -116,6 +121,7 @@ Row decode_all(const core::FrontEndConfig& config,
   Row row;
   row.tol = config.solver.tol;
   row.ratio = config.solver.dual_primal_ratio;
+  row.relaxation = config.solver.relaxation;
   row.max_iterations = config.solver.max_iterations;
   std::vector<double> iterations;
   std::vector<double> ms;
@@ -154,11 +160,13 @@ ConfigRun run_config(const std::string& name, core::FrontEndConfig config,
   core::FrontEndConfig reference = config;
   reference.solver.max_iterations = kReferenceIterations;
   reference.solver.tol = kReferenceTol;
+  reference.solver.relaxation = 1.0;
   run.reference = decode_all(reference, lowres_codec, windows, frames, pool);
-  const auto decode_at = [&](double tol, double ratio) {
+  const auto decode_at = [&](double tol, double ratio, double relaxation) {
     core::FrontEndConfig swept = config;
     swept.solver.tol = tol;
     swept.solver.dual_primal_ratio = ratio;
+    swept.solver.relaxation = relaxation;
     Row row = decode_all(swept, lowres_codec, windows, frames, pool);
     std::vector<double> gaps;
     for (std::size_t i = 0; i < row.snrs.size(); ++i) {
@@ -167,11 +175,18 @@ ConfigRun run_config(const std::string& name, core::FrontEndConfig config,
     row.snr_gap_db = mean(gaps);
     return row;
   };
+  const recovery::PdhgOptions& defaults = config.solver;
   for (const double tol : kTolerances) {
-    run.tol_sweep.push_back(decode_at(tol, config.solver.dual_primal_ratio));
+    run.tol_sweep.push_back(
+        decode_at(tol, defaults.dual_primal_ratio, defaults.relaxation));
   }
   for (const double ratio : kRatios) {
-    run.ratio_sweep.push_back(decode_at(config.solver.tol, ratio));
+    run.ratio_sweep.push_back(
+        decode_at(defaults.tol, ratio, defaults.relaxation));
+  }
+  for (const double relaxation : kRelaxations) {
+    run.relax_sweep.push_back(
+        decode_at(defaults.tol, defaults.dual_primal_ratio, relaxation));
   }
 
   const auto at_default = std::find_if(
@@ -179,31 +194,34 @@ ConfigRun run_config(const std::string& name, core::FrontEndConfig config,
       [&](const Row& row) { return row.tol == config.solver.tol; });
   CSECG_CHECK(at_default != run.tol_sweep.end(),
               "bench_solver: the default tol must be one of kTolerances");
-  double best = at_default->iterations_mean;
-  for (const Row& row : run.ratio_sweep) {
-    best = std::min(best, row.iterations_mean);
-  }
+  const auto over_best = [&](const std::vector<Row>& sweep) {
+    double best = at_default->iterations_mean;
+    for (const Row& row : sweep) best = std::min(best, row.iterations_mean);
+    return at_default->iterations_mean / best;
+  };
   run.converged_frac = at_default->converged_frac;
-  run.iterations_over_best = at_default->iterations_mean / best;
+  run.iterations_over_best = over_best(run.ratio_sweep);
+  run.relaxation_over_best = over_best(run.relax_sweep);
   run.pass = run.converged_frac >= kMinConvergedFrac &&
-             run.iterations_over_best <= kMaxIterationsOverBest;
+             run.iterations_over_best <= kMaxIterationsOverBest &&
+             run.relaxation_over_best <= kMaxIterationsOverBest;
   return run;
 }
 
 void print_row(const char* config, const Row& row) {
-  std::printf("%s,%g,%g,%d,%.1f,%.0f,%.3f,%.3f,%.4f,%.2f\n", config, row.tol,
-              row.ratio, row.max_iterations, row.iterations_mean,
-              row.iterations_p95, row.converged_frac, row.mean_snr_db,
-              row.snr_gap_db, row.ms_per_window);
+  std::printf("%s,%g,%g,%g,%d,%.1f,%.0f,%.3f,%.3f,%.4f,%.2f\n", config,
+              row.tol, row.ratio, row.relaxation, row.max_iterations,
+              row.iterations_mean, row.iterations_p95, row.converged_frac,
+              row.mean_snr_db, row.snr_gap_db, row.ms_per_window);
 }
 
 void write_row(std::FILE* json, const Row& row, const char* indent) {
   std::fprintf(json,
                "%s{\"tol\": %g, \"dual_primal_ratio\": %g, "
-               "\"max_iterations\": %d, "
+               "\"relaxation\": %g, \"max_iterations\": %d, "
                "\"iterations_mean\": %.2f, \"iterations_p95\": %.0f, "
                "\"converged_frac\": %.4f, \"exit\": {",
-               indent, row.tol, row.ratio, row.max_iterations,
+               indent, row.tol, row.ratio, row.relaxation, row.max_iterations,
                row.iterations_mean, row.iterations_p95, row.converged_frac);
   for (std::size_t e = 0; e < kExitReasons; ++e) {
     std::fprintf(json, "\"%s\": %zu%s",
@@ -232,8 +250,8 @@ int main() {
   const std::size_t records = bench::env_or("CSECG_RECORDS", 16, 48);
   const std::size_t windows_per_record = bench::env_or("CSECG_WINDOWS", 4, 64);
   std::printf("# bench_solver\n");
-  std::printf("# PDHG tolerance and dual/primal ratio sweeps vs a "
-              "%d-iteration reference\n",
+  std::printf("# PDHG tolerance, dual/primal ratio and relaxation sweeps "
+              "vs a %d-iteration reference\n",
               kReferenceIterations);
   std::printf("# workload: %zu records x %zu windows (CSECG_RECORDS / "
               "CSECG_WINDOWS to rescale)\n",
@@ -257,23 +275,26 @@ int main() {
   runs.push_back(run_config("hybrid", defaults, windows, pool));
   runs.push_back(run_config("normal_cs", normal, windows, pool));
 
-  std::printf("config,tol,dual_primal_ratio,max_iterations,iterations_mean,"
-              "iterations_p95,converged_frac,mean_snr_db,snr_gap_db,"
-              "ms_per_window\n");
+  std::printf("config,tol,dual_primal_ratio,relaxation,max_iterations,"
+              "iterations_mean,iterations_p95,converged_frac,mean_snr_db,"
+              "snr_gap_db,ms_per_window\n");
   bool pass = true;
   for (const ConfigRun& run : runs) {
     print_row(run.name.c_str(), run.reference);
     for (const Row& row : run.tol_sweep) print_row(run.name.c_str(), row);
     for (const Row& row : run.ratio_sweep) print_row(run.name.c_str(), row);
+    for (const Row& row : run.relax_sweep) print_row(run.name.c_str(), row);
     pass = pass && run.pass;
   }
   for (const ConfigRun& run : runs) {
-    std::printf("# %s at the default tol %g, ratio %g: converged %.3f "
-                "(bar: >= %.2f), mean iterations %.2fx the best swept "
-                "ratio's (bar: <= %.2f)\n",
+    std::printf("# %s at the default tol %g, ratio %g, relaxation %g: "
+                "converged %.3f (bar: >= %.2f), mean iterations %.2fx the "
+                "best swept ratio's and %.2fx the best swept relaxation's "
+                "(bar: <= %.2f)\n",
                 run.name.c_str(), defaults.solver.tol,
-                defaults.solver.dual_primal_ratio, run.converged_frac,
-                kMinConvergedFrac, run.iterations_over_best,
+                defaults.solver.dual_primal_ratio, defaults.solver.relaxation,
+                run.converged_frac, kMinConvergedFrac,
+                run.iterations_over_best, run.relaxation_over_best,
                 kMaxIterationsOverBest);
   }
 
@@ -289,24 +310,29 @@ int main() {
                records, windows_per_record, pool.threads());
   std::fprintf(json,
                "  \"default_tol\": %g,\n  \"default_dual_primal_ratio\": %g,\n"
+               "  \"default_relaxation\": %g,\n"
                "  \"min_converged_frac\": %.2f,\n"
                "  \"max_iterations_over_best\": %.2f,\n",
                defaults.solver.tol, defaults.solver.dual_primal_ratio,
-               kMinConvergedFrac, kMaxIterationsOverBest);
+               defaults.solver.relaxation, kMinConvergedFrac,
+               kMaxIterationsOverBest);
   std::fprintf(json, "  \"configs\": [\n");
   for (std::size_t c = 0; c < runs.size(); ++c) {
     const ConfigRun& run = runs[c];
     std::fprintf(json,
                  "    {\"name\": \"%s\", \"measurements\": %zu, "
                  "\"lowres_bits\": %d, \"converged_frac_at_default\": %.4f, "
-                 "\"iterations_over_best\": %.3f, \"pass\": %s,\n"
+                 "\"iterations_over_best\": %.3f, "
+                 "\"relaxation_over_best\": %.3f, \"pass\": %s,\n"
                  "      \"reference\": ",
                  run.name.c_str(), run.config.measurements,
                  run.config.lowres_bits, run.converged_frac,
-                 run.iterations_over_best, run.pass ? "true" : "false");
+                 run.iterations_over_best, run.relaxation_over_best,
+                 run.pass ? "true" : "false");
     write_row(json, run.reference, "");
     write_sweep(json, "tol_sweep", run.tol_sweep);
     write_sweep(json, "ratio_sweep", run.ratio_sweep);
+    write_sweep(json, "relax_sweep", run.relax_sweep);
     std::fprintf(json, "}%s\n", c + 1 < runs.size() ? "," : "");
   }
   std::fprintf(json, "  ],\n  \"pass\": %s\n}\n", pass ? "true" : "false");

@@ -30,6 +30,8 @@ struct WindowMetrics {
   std::size_t cs_bits = 0;
   std::size_t lowres_bits = 0;
   bool converged = false;
+  /// Why the solve stopped.
+  recovery::PdhgExit exit = recovery::PdhgExit::kCapChange;
   int iterations = 0;
   double ball_violation = 0.0;   ///< max(0, ‖Φx−y‖−σ) at solver exit.
   std::uint64_t encode_ns = 0;   ///< Encode wall time (0 if obs disabled).

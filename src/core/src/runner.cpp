@@ -52,6 +52,9 @@ std::string ledger_row(const RecordReport& report, std::size_t w,
                                 m.iterations < 0 ? 0 : m.iterations));
   row += ",\"converged\":";
   obs::append_json_bool(row, m.converged);
+  row += ",\"exit\":\"";
+  row += recovery::exit_name(m.exit);
+  row += '"';
   row += ",\"ball_violation\":";
   obs::append_json_double(row, m.ball_violation);
   row += ",\"prd\":";
@@ -109,6 +112,7 @@ RecordReport run_record(const Codec& codec, const ecg::EcgRecord& record,
     m.cs_bits = frame.cs_bits();
     m.lowres_bits = frame.lowres_bits;
     m.converged = decoded.solver.converged;
+    m.exit = decoded.solver.exit;
     m.iterations = decoded.solver.iterations;
     m.ball_violation = decoded.solver.ball_violation;
     m.encode_ns = t1 - t0;

@@ -93,6 +93,9 @@ struct LinkWindowMetrics {
   double energy_j = 0.0;  ///< Whole-node energy for the window.
   bool lowres_only = false;
   bool converged = false;
+  /// Why the solve stopped (meaningless on low-res-only windows, whose
+  /// ledger rows say "none").
+  recovery::PdhgExit exit = recovery::PdhgExit::kCapChange;
   int iterations = 0;             ///< Solver iterations (0 on low-res-only).
   double ball_violation = 0.0;    ///< Residual excess at solver exit.
   std::uint64_t window_ns = 0;    ///< encode→decode wall time (0 if obs off).

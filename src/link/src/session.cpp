@@ -96,6 +96,9 @@ std::string link_ledger_row(const LinkRecordReport& report, std::size_t w,
                                 m.iterations < 0 ? 0 : m.iterations));
   row += ",\"converged\":";
   obs::append_json_bool(row, m.converged);
+  row += ",\"exit\":\"";
+  row += m.lowres_only ? "none" : recovery::exit_name(m.exit);
+  row += '"';
   row += ",\"ball_violation\":";
   obs::append_json_double(row, m.ball_violation);
   row += ",\"prd\":";
@@ -235,6 +238,7 @@ LinkRecordReport run_link_record(const LinkSession& session,
     m.energy_j = result.energy.total();
     m.lowres_only = result.decoded.lowres_only;
     m.converged = result.decoded.solver.converged;
+    m.exit = result.decoded.solver.exit;
     m.iterations = result.decoded.solver.iterations;
     m.ball_violation = result.decoded.solver.ball_violation;
     m.window_ns = t1 - t0;

@@ -17,8 +17,8 @@ void validate(const PdhgOptions& options) {
   CSECG_CHECK(options.feasibility_tol > 0.0,
               "PdhgOptions: feasibility_tol must be positive");
   CSECG_CHECK(options.check_every > 0, "PdhgOptions: check_every <= 0");
-  CSECG_CHECK(options.theta >= 0.0 && options.theta <= 1.0,
-              "PdhgOptions: theta must be in [0, 1]");
+  CSECG_CHECK(options.relaxation > 0.0 && options.relaxation < 2.0,
+              "PdhgOptions: relaxation must be in (0, 2)");
   CSECG_CHECK(options.step_safety > 0.0 && options.step_safety < 1.0,
               "PdhgOptions: step_safety must be in (0, 1)");
   CSECG_CHECK(options.dual_primal_ratio > 0.0,
@@ -101,7 +101,9 @@ PdhgResult solve_bpdn(const linalg::LinearOperator& phi,
       step_sizes(phi_norm, box.has_value(), options);
 
   // Warm start: caller-provided, else box midpoint (already nearly
-  // feasible), else zero.
+  // feasible), else zero.  x is the relaxed primal state each primal step
+  // starts from; x_new holds that step's prox output x̃, which the
+  // stopping tests judge and the solve returns.
   linalg::Vector x(n);
   if (!options.x0.empty()) {
     CSECG_CHECK(options.x0.size() == n,
@@ -123,7 +125,7 @@ PdhgResult solve_bpdn(const linalg::LinearOperator& phi,
   linalg::Vector scaled_m(m);  // w_m / σ_ball (the point to project).
   linalg::Vector diff_m(m);    // scaled_m − y.
   linalg::Vector grad(n);      // Φᵀq1 [+ q2].
-  linalg::Vector x_new(n);
+  linalg::Vector x_new(n);     // x̃.
   linalg::Vector coeffs(n);
   linalg::Vector check_diff(n);
 
@@ -136,11 +138,17 @@ PdhgResult solve_bpdn(const linalg::LinearOperator& phi,
     inv_width[i] = 1.0 / std::max(box->upper[i] - box->lower[i], 1e-12);
   }
 
+  // Relaxation: each block's state moves to ρ·(prox output) + (1−ρ)·state
+  // in the loop that writes it.  ρ = 1 is plain CP, iterate for iterate.
+  const double rho = options.relaxation;
+  const double keep = 1.0 - rho;
+
   PdhgResult result;
   linalg::Vector x_prev_check = x;
 
   for (int it = 1; it <= options.max_iterations; ++it) {
-    // Dual ascent on the ball block: q1 += σ_ball·Φx̄ then Moreau.
+    // Dual ascent on the ball block: q̃1 = Moreau(q1 + σ_ball·Φx̄), then
+    // q1 ← ρ·q̃1 + (1−ρ)·q1.
     {
       phi.apply_into(x_bar, w_m);
       for (std::size_t i = 0; i < m; ++i) {
@@ -152,12 +160,13 @@ PdhgResult solve_bpdn(const linalg::LinearOperator& phi,
       const double dist = linalg::norm2(diff_m);
       if (dist <= sigma) {
         for (std::size_t i = 0; i < m; ++i) {
-          q1[i] = w_m[i] - sigma_ball * scaled_m[i];
+          q1[i] = rho * (w_m[i] - sigma_ball * scaled_m[i]) + keep * q1[i];
         }
       } else {
         const double scale = sigma / dist;
         for (std::size_t i = 0; i < m; ++i) {
-          q1[i] = w_m[i] - sigma_ball * (y[i] + scale * diff_m[i]);
+          q1[i] = rho * (w_m[i] - sigma_ball * (y[i] + scale * diff_m[i])) +
+                  keep * q1[i];
         }
       }
     }
@@ -167,10 +176,10 @@ PdhgResult solve_bpdn(const linalg::LinearOperator& phi,
         const double v = q2[i] + sigma_box * x_bar[i];
         const double proj =
             std::clamp(v / sigma_box, box->lower[i], box->upper[i]);
-        q2[i] = v - sigma_box * proj;
+        q2[i] = rho * (v - sigma_box * proj) + keep * q2[i];
       }
     }
-    // Primal descent: x ← prox_{τ‖Ψᵀ·‖₁}(x − τ·Kᵀq).
+    // Primal descent: x̃ = prox_{τ‖Ψᵀ·‖₁}(x − τ·Kᵀq).
     phi.apply_adjoint_into(q1, grad);
     if (box) grad += q2;
     for (std::size_t i = 0; i < n; ++i) x_new[i] = x[i] - tau * grad[i];
@@ -183,25 +192,25 @@ PdhgResult solve_bpdn(const linalg::LinearOperator& phi,
       }
       psi.apply_into(coeffs, x_new);
     }
-    // Extrapolation, then adopt x_new as x (swap: x's old storage becomes
-    // next iteration's x_new scratch).
+    // Extrapolation x̄ = x̃ + (x̃ − x), then x ← ρ·x̃ + (1−ρ)·x.
     for (std::size_t i = 0; i < n; ++i) {
-      x_bar[i] = x_new[i] + options.theta * (x_new[i] - x[i]);
+      const double x_tilde = x_new[i];
+      x_bar[i] = x_tilde + (x_tilde - x[i]);
+      x[i] = rho * x_tilde + keep * x[i];
     }
-    std::swap(x, x_new);
     result.iterations = it;
 
     if (it % options.check_every == 0 || it == options.max_iterations) {
       obs::trace_instant("solver.pdhg.check", "solver", "iteration",
                          static_cast<std::uint64_t>(it));
       for (std::size_t i = 0; i < n; ++i) {
-        check_diff[i] = x[i] - x_prev_check[i];
+        check_diff[i] = x_new[i] - x_prev_check[i];
       }
       const double dx = linalg::norm2(check_diff);
-      const double rel_change = dx / std::max(linalg::norm2(x), 1.0);
-      x_prev_check = x;
+      const double rel_change = dx / std::max(linalg::norm2(x_new), 1.0);
+      x_prev_check = x_new;
 
-      phi.apply_into(x, w_m);
+      phi.apply_into(x_new, w_m);
       for (std::size_t i = 0; i < m; ++i) w_m[i] -= y[i];
       const double ball_viol =
           std::max(0.0, linalg::norm2(w_m) - sigma);
@@ -209,7 +218,8 @@ PdhgResult solve_bpdn(const linalg::LinearOperator& phi,
       double box_viol_rel = 0.0;
       if (box) {
         for (std::size_t i = 0; i < n; ++i) {
-          const double v = std::max(box->lower[i] - x[i], x[i] - box->upper[i]);
+          const double v =
+              std::max(box->lower[i] - x_new[i], x_new[i] - box->upper[i]);
           box_viol = std::max(box_viol, v);
           box_viol_rel = std::max(box_viol_rel, v * inv_width[i]);
         }
@@ -230,8 +240,8 @@ PdhgResult solve_bpdn(const linalg::LinearOperator& phi,
     }
   }
 
-  result.objective = linalg::norm1(psi.apply_adjoint(x));
-  result.x = std::move(x);
+  result.objective = linalg::norm1(psi.apply_adjoint(x_new));
+  result.x = std::move(x_new);
 
   static obs::Counter& solves = obs::counter("solver.pdhg.solves");
   static obs::Counter& iterations = obs::counter("solver.pdhg.iterations");

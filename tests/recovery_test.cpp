@@ -4,6 +4,7 @@
 // pursuit exact-recovery properties.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <initializer_list>
 #include <optional>
@@ -126,9 +127,11 @@ TEST(Pdhg, OptionsValidation) {
   PdhgOptions bad;
   bad.max_iterations = 0;
   EXPECT_THROW(validate(bad), std::invalid_argument);
-  bad = PdhgOptions{};
-  bad.theta = 1.5;
-  EXPECT_THROW(validate(bad), std::invalid_argument);
+  for (const double rho : {0.0, -1.0, 2.0, 2.5}) {
+    bad = PdhgOptions{};
+    bad.relaxation = rho;
+    EXPECT_THROW(validate(bad), std::invalid_argument) << "rho " << rho;
+  }
   bad = PdhgOptions{};
   bad.step_safety = 1.0;
   EXPECT_THROW(validate(bad), std::invalid_argument);
@@ -318,6 +321,114 @@ TEST(Pdhg, ReportsViolationsOnTinyBudget) {
   EXPECT_GT(res.ball_violation, 0.0);
 }
 
+TEST(Pdhg, UnitRelaxationIsPlainChambollePock) {
+  // At ρ = 1 the relaxed solver must be the textbook CP iteration, iterate
+  // for iterate: the same x, iteration count and exit as this loop.
+  const std::size_t n = 64;
+  const std::size_t m = 24;
+  const Matrix a = gaussian_matrix(m, n, 27);
+  const Vector x_true = sparse_vector(n, 4, 28);
+  const Vector y = linalg::multiply(a, x_true);
+  BoxConstraint box;
+  box.lower = Vector(n);
+  box.upper = Vector(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    box.lower[i] = x_true[i] - 0.1;
+    box.upper[i] = x_true[i] + 0.15;
+  }
+  const double sigma = 1e-3;
+  const auto phi = LinearOperator::from_matrix(a);
+  const auto psi = LinearOperator::identity(n);
+  PdhgOptions options;
+  options.max_iterations = 3000;
+  options.tol = 1e-7;
+  options.dual_primal_ratio = 0.1;
+  options.phi_norm_hint = linalg::operator_norm_estimate(phi, 60);
+  ASSERT_EQ(options.relaxation, 1.0);
+  const PdhgResult res = solve_bpdn(phi, psi, y, sigma, box, options);
+
+  const PdhgSteps steps = step_sizes(options.phi_norm_hint, true, options);
+  Vector x(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    x[i] = 0.5 * (box.lower[i] + box.upper[i]);
+  }
+  Vector x_bar = x;
+  Vector x_prev_check = x;
+  Vector q1(m);
+  Vector q2(n);
+  Vector w(m);
+  Vector scaled(m);
+  Vector diff(m);
+  Vector grad(n);
+  Vector x_new(n);
+  Vector coeffs(n);
+  const double y_scale = std::max(linalg::norm2(y), 1.0);
+  int iterations = 0;
+  PdhgExit exit = PdhgExit::kCapChange;
+  for (int it = 1; it <= options.max_iterations; ++it) {
+    phi.apply_into(x_bar, w);
+    for (std::size_t i = 0; i < m; ++i) {
+      w[i] = w[i] * steps.sigma_ball + q1[i];
+      scaled[i] = w[i] / steps.sigma_ball;
+      diff[i] = scaled[i] - y[i];
+    }
+    const double dist = linalg::norm2(diff);
+    for (std::size_t i = 0; i < m; ++i) {
+      q1[i] = dist <= sigma
+                  ? w[i] - steps.sigma_ball * scaled[i]
+                  : w[i] - steps.sigma_ball *
+                               (y[i] + sigma / dist * diff[i]);
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      const double v = q2[i] + steps.sigma_box * x_bar[i];
+      q2[i] = v - steps.sigma_box * std::clamp(v / steps.sigma_box,
+                                               box.lower[i], box.upper[i]);
+    }
+    phi.apply_adjoint_into(q1, grad);
+    grad += q2;
+    for (std::size_t i = 0; i < n; ++i) x_new[i] = x[i] - steps.tau * grad[i];
+    psi.apply_adjoint_into(x_new, coeffs);
+    for (std::size_t i = 0; i < n; ++i) {
+      coeffs[i] = soft_threshold(coeffs[i], steps.tau);
+    }
+    psi.apply_into(coeffs, x_new);
+    for (std::size_t i = 0; i < n; ++i) {
+      x_bar[i] = x_new[i] + (x_new[i] - x[i]);
+    }
+    std::swap(x, x_new);
+    iterations = it;
+    if (it % options.check_every != 0) continue;
+    const double rel_change = linalg::norm2(x - x_prev_check) /
+                              std::max(linalg::norm2(x), 1.0);
+    x_prev_check = x;
+    const double ball_viol =
+        std::max(0.0, linalg::norm2(phi.apply(x) - y) - sigma);
+    double box_viol_rel = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const double inv_width = 1.0 / (box.upper[i] - box.lower[i]);
+      box_viol_rel = std::max(
+          box_viol_rel,
+          std::max(box.lower[i] - x[i], x[i] - box.upper[i]) * inv_width);
+    }
+    if (ball_viol > options.feasibility_tol * y_scale) {
+      exit = PdhgExit::kCapBall;
+    } else if (box_viol_rel > options.feasibility_tol) {
+      exit = PdhgExit::kCapBox;
+    } else if (rel_change > options.tol) {
+      exit = PdhgExit::kCapChange;
+    } else {
+      exit = PdhgExit::kConverged;
+      break;
+    }
+  }
+
+  EXPECT_EQ(res.exit, PdhgExit::kConverged);
+  EXPECT_GT(res.iterations, 10 * options.check_every);
+  EXPECT_EQ(res.iterations, iterations);
+  EXPECT_EQ(res.exit, exit);
+  EXPECT_EQ(res.x, x);
+}
+
 TEST(PdhgSteps, BoxStepsMeetChambollePockCondition) {
   // With a box, K = [Φ; I] gets block-diagonal dual steps; the CP
   // condition τ·(σ_ball‖Φ‖² + σ_box) ≤ s² must hold for any ‖Φ‖ and ratio.
@@ -484,6 +595,60 @@ TEST(Pdhg, DefaultConfigNormalCsWindowsConverge) {
   config.measurements = 256;
   config.lowres_bits = 0;
   expect_default_solves_converge(config, {4, 5, 8, 10});
+}
+
+/// Decodes the first window of each listed record under `config` (the
+/// relaxed default) and again at ρ = 1, plain CP.  Expects the default to
+/// need at most 0.8× plain CP's summed iterations, with both within
+/// 0.05 dB of a 30000-iteration, tol-1e-8 solve.
+void expect_relaxation_cuts_iterations(
+    const core::FrontEndConfig& config,
+    std::initializer_list<std::size_t> records) {
+  const ecg::SyntheticDatabase database(ecg::RecordConfig{}, 2015);
+  std::optional<coding::DeltaHuffmanCodec> lowres_codec;
+  if (config.lowres_bits > 0) {
+    lowres_codec = core::train_lowres_codec(config, database);
+  }
+  const core::Encoder encoder(config, lowres_codec);
+  const core::Decoder relaxed(config, lowres_codec);
+  core::FrontEndConfig plain_config = config;
+  plain_config.solver.relaxation = 1.0;
+  const core::Decoder plain(plain_config, lowres_codec);
+  core::FrontEndConfig reference_config = config;
+  reference_config.solver.max_iterations = 30000;
+  reference_config.solver.tol = 1e-8;
+  const core::Decoder reference(reference_config, lowres_codec);
+  int relaxed_iterations = 0;
+  int plain_iterations = 0;
+  for (const std::size_t r : records) {
+    const Vector window =
+        ecg::extract_windows(database.record(r), config.window, 4)[0];
+    const core::Frame frame = encoder.encode(window);
+    const auto snr_of = [&](const core::DecodeResult& result) {
+      return metrics::snr_from_prd(metrics::prd_zero_mean(window, result.x));
+    };
+    const core::DecodeResult fast = relaxed.decode(frame);
+    const core::DecodeResult slow = plain.decode(frame);
+    const core::DecodeResult exact = reference.decode(frame);
+    EXPECT_TRUE(fast.solver.converged) << "record " << r;
+    EXPECT_TRUE(slow.solver.converged) << "record " << r;
+    EXPECT_NEAR(snr_of(fast), snr_of(exact), 0.05) << "record " << r;
+    EXPECT_NEAR(snr_of(slow), snr_of(exact), 0.05) << "record " << r;
+    relaxed_iterations += fast.solver.iterations;
+    plain_iterations += slow.solver.iterations;
+  }
+  EXPECT_LE(relaxed_iterations, 0.8 * plain_iterations)
+      << "relaxed " << relaxed_iterations << " vs plain CP "
+      << plain_iterations;
+}
+
+TEST(Pdhg, DefaultRelaxationCutsIterations) {
+  // The records of DefaultConfig{Hybrid,NormalCs}WindowsConverge.
+  expect_relaxation_cuts_iterations(core::FrontEndConfig{}, {0, 1, 2, 3});
+  core::FrontEndConfig normal;
+  normal.measurements = 256;
+  normal.lowres_bits = 0;
+  expect_relaxation_cuts_iterations(normal, {4, 5, 8, 10});
 }
 
 // ---------------------------------------------------------------------------

@@ -139,6 +139,18 @@ TEST_F(TraceTest, ConcurrentWritersAllLand) {
   expect_balanced_json(obs::trace_json());
 }
 
+/// The `exit` values of a ledger's rows, in row order.
+std::vector<std::string> ledger_exits(const std::string& ledger) {
+  const std::string key = "\"exit\":\"";
+  std::vector<std::string> exits;
+  for (std::size_t at = ledger.find(key); at != std::string::npos;
+       at = ledger.find(key, at + 1)) {
+    const std::size_t begin = at + key.size();
+    exits.push_back(ledger.substr(begin, ledger.find('"', begin) - begin));
+  }
+  return exits;
+}
+
 // A small but real front end, shared by the end-to-end ledger tests.
 core::FrontEndConfig small_config() {
   core::FrontEndConfig config;
@@ -180,6 +192,14 @@ TEST_F(TraceTest, RunRecordLedgerIsBitIdenticalAcrossThreadCounts) {
   EXPECT_NE(serial_ledger.find("\"decode_mode\":\"auto\""),
             std::string::npos);
   EXPECT_NE(serial_ledger.find("\"sigma\":"), std::string::npos);
+  // Every row names the solver's exit reason.
+  const std::vector<std::string> exits = ledger_exits(serial_ledger);
+  EXPECT_EQ(exits.size(), 8u);
+  for (const std::string& exit : exits) {
+    EXPECT_TRUE(exit == "converged" || exit == "ball" || exit == "box" ||
+                exit == "x_change")
+        << exit;
+  }
   // Locale-proof doubles: no decimal commas anywhere in a ledger number.
   EXPECT_EQ(serial_ledger.find(",\","), std::string::npos);
 }
@@ -246,6 +266,15 @@ TEST_F(TraceTest, LinkLedgerRowsCarryLossAccounting) {
   EXPECT_NE(ledger.find("\"retransmissions\":"), std::string::npos);
   EXPECT_NE(ledger.find("\"energy_j\":"), std::string::npos);
   EXPECT_NE(ledger.find("\"boxed_samples\":"), std::string::npos);
+  // Each row's exit is its window's solver exit, "none" where no solve ran.
+  const std::vector<std::string> exits = ledger_exits(ledger);
+  ASSERT_EQ(exits.size(), report.windows.size());
+  for (std::size_t w = 0; w < exits.size(); ++w) {
+    const link::LinkWindowMetrics& m = report.windows[w];
+    EXPECT_EQ(exits[w],
+              m.lowres_only ? "none" : recovery::exit_name(m.exit))
+        << "window " << w;
+  }
 
   // The outlier fence is a real number and the flags point inside range.
   EXPECT_TRUE(std::isfinite(report.outlier_snr_threshold_db));

@@ -109,6 +109,7 @@ struct RankedWindow {
   double prd = 0.0;
   int iterations = 0;
   bool converged = false;
+  const char* exit = "";  ///< Solver exit reason ("none" if no solve ran).
   bool outlier = false;
 };
 
@@ -121,13 +122,14 @@ void print_worst(std::vector<RankedWindow> ranked, std::size_t worst) {
             });
   const std::size_t n = std::min(worst, ranked.size());
   std::printf("\nworst %zu windows by SNR:\n", n);
-  std::printf("  %-10s %6s %9s %9s %6s %5s %s\n", "record", "win", "snr(dB)",
-              "prd(%)", "iters", "conv", "flag");
+  std::printf("  %-10s %6s %9s %9s %6s %5s %-9s %s\n", "record", "win",
+              "snr(dB)", "prd(%)", "iters", "conv", "exit", "flag");
   for (std::size_t i = 0; i < n; ++i) {
     const RankedWindow& w = ranked[i];
-    std::printf("  %-10s %6zu %9.2f %9.2f %6d %5s %s\n", w.record.c_str(),
-                w.window, w.snr, w.prd, w.iterations,
-                w.converged ? "yes" : "NO", w.outlier ? "OUTLIER" : "");
+    std::printf("  %-10s %6zu %9.2f %9.2f %6d %5s %-9s %s\n",
+                w.record.c_str(), w.window, w.snr, w.prd, w.iterations,
+                w.converged ? "yes" : "NO", w.exit,
+                w.outlier ? "OUTLIER" : "");
   }
 }
 
@@ -164,7 +166,7 @@ std::string run_clean(const Options& opts) {
       if (outlier) ++next_outlier;
       ranked.push_back({r.record_name, w, r.windows[w].snr, r.windows[w].prd,
                         r.windows[w].iterations, r.windows[w].converged,
-                        outlier});
+                        recovery::exit_name(r.windows[w].exit), outlier});
     }
   }
   print_worst(std::move(ranked), opts.worst);
@@ -214,8 +216,10 @@ std::string run_link(const Options& opts) {
       const bool outlier = next_outlier < r.outlier_windows.size() &&
                            r.outlier_windows[next_outlier] == w;
       if (outlier) ++next_outlier;
-      ranked.push_back({r.record_name, w, r.windows[w].snr, r.windows[w].prd,
-                        r.windows[w].iterations, r.windows[w].converged,
+      const link::LinkWindowMetrics& m = r.windows[w];
+      ranked.push_back({r.record_name, w, m.snr, m.prd, m.iterations,
+                        m.converged,
+                        m.lowres_only ? "none" : recovery::exit_name(m.exit),
                         outlier});
     }
   }
