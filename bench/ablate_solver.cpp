@@ -54,9 +54,8 @@ int main() {
   rmpi_config.input_full_scale = config.dc_reference();
   const sensing::RmpiSimulator rmpi(rmpi_config);
   const dsp::Dwt dwt(config.wavelet, config.window, config.wavelet_levels);
-  // Dense A = ΦΨ, built once and cached inside the decoder (it uses the
-  // same leakage-aware Φ its own solves see).
-  const linalg::Matrix& a = codec.decoder().synthesis_dictionary();
+  // Dense A = ΦΨ on the Φ the decoder's own solves see (leakage 0).
+  const linalg::Matrix a = bench::dense_phi_psi(rmpi.effective_matrix(), dwt);
   const auto a_op = linalg::LinearOperator::from_matrix(a);
 
   const std::size_t record_count =

@@ -11,24 +11,7 @@
 #include "csecg/metrics/quality.hpp"
 #include "csecg/recovery/model_based.hpp"
 
-namespace {
-
 using namespace csecg;
-
-linalg::Matrix dense_phi_psi(const linalg::Matrix& phi, const dsp::Dwt& dwt) {
-  const std::size_t n = phi.cols();
-  linalg::Matrix a(phi.rows(), n);
-  linalg::Vector unit(n);
-  for (std::size_t j = 0; j < n; ++j) {
-    unit[j] = 1.0;
-    const linalg::Vector column = linalg::multiply(phi, dwt.inverse(unit));
-    for (std::size_t i = 0; i < phi.rows(); ++i) a(i, j) = column[i];
-    unit[j] = 0.0;
-  }
-  return a;
-}
-
-}  // namespace
 
 int main() {
   bench::print_header("ablate_structured",
@@ -53,7 +36,7 @@ int main() {
     rmpi_config.input_full_scale = config.dc_reference();
     const sensing::RmpiSimulator rmpi(rmpi_config);
     const dsp::Dwt dwt(config.wavelet, config.window, config.wavelet_levels);
-    const linalg::Matrix a = dense_phi_psi(rmpi.chips(), dwt);
+    const linalg::Matrix a = bench::dense_phi_psi(rmpi.chips(), dwt);
     const double dc = config.dc_reference();
 
     double snr_plain = 0.0;

@@ -18,7 +18,6 @@
 #pragma once
 
 #include <memory>
-#include <mutex>
 #include <optional>
 
 #include "csecg/linalg/solve.hpp"
@@ -26,7 +25,6 @@
 #include "csecg/coding/delta_huffman_codec.hpp"
 #include "csecg/core/config.hpp"
 #include "csecg/core/frame.hpp"
-#include "csecg/dsp/dwt.hpp"
 #include "csecg/ecg/record.hpp"
 #include "csecg/linalg/operator.hpp"
 #include "csecg/recovery/pdhg.hpp"
@@ -125,8 +123,8 @@ class Decoder {
                       DecodeMode mode = DecodeMode::kAuto) const;
 
   /// Reconstructs a window from whatever the link delivered.  CS
-  /// measurements are democratic, so lost rows of Φ and y are simply
-  /// dropped before the solve (σ shrinks with √(m_eff/m)); samples whose
+  /// measurements are democratic, so lost rows of Φ and y are masked out
+  /// of the one cached operator (σ shrinks to sigma(m_eff)); samples whose
   /// low-res packet was lost keep only the trivial full-scale box; a
   /// whole-CS-train loss falls back to the low-resolution staircase.
   /// Never throws on any mask combination — only on shape mismatches
@@ -134,18 +132,12 @@ class Decoder {
   /// bit-identical to decode(frame, kAuto).  Thread-safe like decode().
   LossyDecodeResult decode_lossy(const LossyWindow& window) const;
 
-  /// Dense synthesis dictionary A = Φ·Ψ (columns are measured wavelet
-  /// atoms) — the operator coefficient-domain solvers (FISTA, SPGL1,
-  /// greedy pursuit) consume.  Built on first use and cached for the
-  /// decoder's lifetime so callers stop re-materializing the Φ∘Ψ chain
-  /// per window; safe to call from several threads.
-  const linalg::Matrix& synthesis_dictionary() const;
-
-  /// The fidelity radius σ the full-measurement solves use
-  /// (sigma_scale × expected quantization-noise norm); lossy decodes
-  /// shrink it by √(m_eff/m).  Exposed so the quality ledger can record
-  /// the per-window radius next to the solver residual.
-  double sigma() const noexcept { return sigma_; }
+  /// The fidelity radius of a solve on `effective_m` of the m
+  /// measurements: σ·√(m_eff/m), with σ = sigma_scale × the expected
+  /// quantization-noise norm of all m (that norm scales with √m).
+  /// Exposed so the quality ledgers record the per-window radius next to
+  /// the solver residual.
+  double sigma(std::size_t effective_m) const noexcept;
 
  private:
   /// Box [ẋ−dc, ẋ+d−dc] from decoded low-res codes, in the AC domain the
@@ -154,26 +146,26 @@ class Decoder {
   recovery::BoxConstraint box_from_codes(
       const std::vector<std::int64_t>& codes) const;
 
-  /// The full-Φ solve both decode paths funnel through (per-window
-  /// options, warm start, DC shift).
+  /// The one solve both decode paths funnel through (per-window options,
+  /// warm start, DC shift).  `mask` marks the delivered measurements
+  /// (empty: all of them); lost rows are masked out of the cached Φ.
   DecodeResult solve_window(const linalg::Vector& y,
+                            const std::vector<std::uint8_t>& mask,
                             std::optional<recovery::BoxConstraint> box) const;
 
   FrontEndConfig config_;
-  sensing::RmpiSimulator rmpi_;
   std::optional<sensing::LowResChannel> lowres_;
   std::optional<coding::DeltaHuffmanCodec> codec_;
-  dsp::Dwt dwt_;
-  /// Dense Φ, kept for the lossy path's row dropping.
-  linalg::Matrix phi_dense_;
+  /// Φ (sign-packed for the RMPI matrix), built once; every solve runs on
+  /// it, lossy ones through a mask.
   linalg::LinearOperator phi_;
   /// Ψ as an operator, materialized once (decode used to rebuild it per
   /// window).
   linalg::LinearOperator psi_;
-  mutable std::once_flag dictionary_once_;
-  mutable linalg::Matrix phi_psi_dense_;
-  /// Cholesky of ΦΦᵀ, cached for the least-norm warm start of the
-  /// unconstrained (normal-CS) solves.
+  /// ΦΦᵀ (m × m) and its Cholesky, cached for the least-norm warm start
+  /// of the unconstrained (normal-CS) solves; a lossy window factors the
+  /// principal submatrix on its surviving rows.
+  linalg::Matrix gram_;
   std::unique_ptr<linalg::Cholesky> gram_chol_;
   double phi_norm_ = 0.0;
   double sigma_ = 0.0;

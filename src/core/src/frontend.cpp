@@ -6,6 +6,7 @@
 
 #include "csecg/coding/decode_error.hpp"
 #include "csecg/common/check.hpp"
+#include "csecg/dsp/dwt.hpp"
 #include "csecg/obs/registry.hpp"
 #include "csecg/obs/span.hpp"
 #include "csecg/obs/trace.hpp"
@@ -154,18 +155,23 @@ Frame Encoder::encode(const linalg::Vector& window) const {
 Decoder::Decoder(FrontEndConfig config,
                  std::optional<coding::DeltaHuffmanCodec> lowres_codec)
     : config_((validate(config), std::move(config))),
-      rmpi_(rmpi_config_from(config_)),
       lowres_(lowres_from(config_)),
       codec_(std::move(lowres_codec)),
-      dwt_(config_.wavelet, config_.window, config_.wavelet_levels),
-      phi_dense_(sensing_matrix_for(config_, rmpi_)),
-      phi_(linalg::LinearOperator::from_matrix(phi_dense_)),
-      psi_(dwt_.synthesis_operator()) {
+      psi_(dsp::Dwt(config_.wavelet, config_.window, config_.wavelet_levels)
+               .synthesis_operator()) {
+  const sensing::RmpiSimulator rmpi(rmpi_config_from(config_));
   check_codec_consistency(config_, codec_);
+  const linalg::Matrix phi = sensing_matrix_for(config_, rmpi);
+  phi_ = linalg::LinearOperator::from_matrix(phi);
   phi_norm_ = linalg::operator_norm_estimate(phi_, 60);
-  sigma_ = config_.sigma_scale * rmpi_.expected_quantization_noise_norm();
-  gram_chol_ = std::make_unique<linalg::Cholesky>(
-      linalg::multiply(phi_dense_, linalg::transpose(phi_dense_)));
+  sigma_ = config_.sigma_scale * rmpi.expected_quantization_noise_norm();
+  gram_ = linalg::multiply(phi, linalg::transpose(phi));
+  gram_chol_ = std::make_unique<linalg::Cholesky>(gram_);
+}
+
+double Decoder::sigma(std::size_t effective_m) const noexcept {
+  return sigma_ * std::sqrt(static_cast<double>(effective_m) /
+                            static_cast<double>(config_.measurements));
 }
 
 DecodeResult Decoder::decode(const Frame& frame, DecodeMode mode) const {
@@ -228,7 +234,7 @@ DecodeResult Decoder::decode(const Frame& frame, DecodeMode mode) const {
       box.reset();
     }
   }
-  return solve_window(frame.measurements, std::move(box));
+  return solve_window(frame.measurements, {}, std::move(box));
 }
 
 recovery::BoxConstraint Decoder::box_from_codes(
@@ -247,19 +253,74 @@ recovery::BoxConstraint Decoder::box_from_codes(
 }
 
 DecodeResult Decoder::solve_window(
-    const linalg::Vector& y,
+    const linalg::Vector& y, const std::vector<std::uint8_t>& mask,
     std::optional<recovery::BoxConstraint> box) const {
+  const std::size_t m = config_.measurements;
+  std::vector<std::size_t> kept;
+  std::vector<std::size_t> lost;
+  for (std::size_t i = 0; i < mask.size(); ++i) {
+    (mask[i] != 0 ? kept : lost).push_back(i);
+  }
   recovery::PdhgOptions options = config_.solver;
+  // ‖MΦ‖₂ ≤ ‖Φ‖₂ for a row mask M, and PDHG only needs an upper bound to
+  // size its steps, so the cached full-matrix norm serves every window.
   options.phi_norm_hint = phi_norm_;
-  if (!box) {
+
+  // Measurement democracy: a lost row is masked out of the cached Φ (the
+  // forward writes 0 there, the adjoint reads 0 there) and out of y.  The
+  // ball's dual stays exactly 0 on those rows and zeros change no norm,
+  // so this is the row-dropped problem on the surviving rows.
+  std::optional<linalg::LinearOperator> masked;
+  linalg::Vector y_masked;
+  linalg::Vector q_masked;
+  if (!lost.empty()) {
+    y_masked = y;
+    for (const std::size_t i : lost) y_masked[i] = 0.0;
+    masked.emplace(
+        m, config_.window,
+        [this, &lost](const linalg::Vector& x, linalg::Vector& out) {
+          phi_.apply_into(x, out);
+          for (const std::size_t i : lost) out[i] = 0.0;
+        },
+        [this, &lost, &q_masked](const linalg::Vector& q,
+                                 linalg::Vector& out) {
+          q_masked = q;
+          for (const std::size_t i : lost) q_masked[i] = 0.0;
+          phi_.apply_adjoint_into(q_masked, out);
+        });
+  }
+  const linalg::LinearOperator& phi = masked ? *masked : phi_;
+
+  if (!box && !masked) {
     // Least-norm warm start Φᵀ(ΦΦᵀ)⁻¹y: measurement-consistent from
     // iteration zero, so PDHG only has to shrink the ℓ1 objective.
     options.x0 = phi_.apply_adjoint(gram_chol_->solve(y));
+  } else if (!box) {
+    // The same start on the surviving rows, from the principal submatrix
+    // of the cached ΦΦᵀ.
+    const std::size_t k = kept.size();
+    linalg::Matrix gram_kept(k, k);
+    linalg::Vector y_kept(k);
+    for (std::size_t a = 0; a < k; ++a) {
+      y_kept[a] = y[kept[a]];
+      for (std::size_t b = 0; b < k; ++b) {
+        gram_kept(a, b) = gram_(kept[a], kept[b]);
+      }
+    }
+    try {
+      const linalg::Vector z = linalg::Cholesky(gram_kept).solve(y_kept);
+      linalg::Vector z_full(m);
+      for (std::size_t a = 0; a < k; ++a) z_full[kept[a]] = z[a];
+      options.x0 = phi.apply_adjoint(z_full);
+    } catch (const std::exception&) {
+      // Surviving rows numerically dependent — cold start instead.
+    }
   }
 
   DecodeResult result;
   result.used_box = box.has_value();
-  result.solver = recovery::solve_bpdn(phi_, psi_, y, sigma_, box, options);
+  result.solver = recovery::solve_bpdn(phi, psi_, masked ? y_masked : y,
+                                       sigma(m - lost.size()), box, options);
   result.x = result.solver.x;
   const double dc = config_.dc_reference();
   for (auto& v : result.x) v += dc;
@@ -370,76 +431,13 @@ LossyDecodeResult Decoder::decode_lossy(const LossyWindow& window) const {
     }
     box = std::move(widened);
   }
-  result.used_box = box.has_value();
 
-  if (result.effective_m == m) {
-    // Nothing dropped on the CS side: run the cached-operator path, which
-    // makes the zero-loss link pipeline bit-identical to decode().
-    DecodeResult full = solve_window(window.measurements, std::move(box));
-    result.x = std::move(full.x);
-    result.solver = std::move(full.solver);
-    return result;
-  }
-
-  // Measurement democracy: drop the lost rows of Φ and the matching
-  // entries of y, shrink σ with the surviving row count (the expected
-  // quantization-noise norm scales with √m), and solve the same problem.
-  const std::size_t eff_m = result.effective_m;
-  linalg::Matrix sub(eff_m, n);
-  linalg::Vector y_kept(eff_m);
-  std::size_t row = 0;
-  for (std::size_t i = 0; i < m; ++i) {
-    if (window.measurement_mask[i] == 0) continue;
-    const double* src = phi_dense_.row(i);
-    std::copy(src, src + n, sub.row(row));
-    y_kept[row] = window.measurements[i];
-    ++row;
-  }
-  const linalg::LinearOperator phi_sub =
-      linalg::LinearOperator::from_matrix(sub);
-
-  recovery::PdhgOptions options = config_.solver;
-  // ‖Φ_sub‖₂ ≤ ‖Φ‖₂ for a row submatrix, and PDHG only needs an upper
-  // bound to size its steps, so the cached full-matrix norm serves here.
-  options.phi_norm_hint = phi_norm_;
-  const double sigma_eff =
-      sigma_ * std::sqrt(static_cast<double>(eff_m) /
-                         static_cast<double>(m));
-  if (!box) {
-    try {
-      const linalg::Cholesky chol(
-          linalg::multiply(sub, linalg::transpose(sub)));
-      options.x0 = phi_sub.apply_adjoint(chol.solve(y_kept));
-    } catch (const std::exception&) {
-      // Surviving rows numerically dependent — cold start instead.
-    }
-  }
-
-  result.solver =
-      recovery::solve_bpdn(phi_sub, psi_, y_kept, sigma_eff, box, options);
-  result.x = result.solver.x;
-  for (auto& v : result.x) v += dc;
+  DecodeResult solved = solve_window(window.measurements,
+                                     window.measurement_mask, std::move(box));
+  result.x = std::move(solved.x);
+  result.solver = std::move(solved.solver);
+  result.used_box = solved.used_box;
   return result;
-}
-
-const linalg::Matrix& Decoder::synthesis_dictionary() const {
-  std::call_once(dictionary_once_, [this] {
-    const std::size_t m = phi_dense_.rows();
-    const std::size_t n = config_.window;
-    linalg::Matrix a(m, n);
-    linalg::Vector unit(n);
-    linalg::Vector atom(n);
-    linalg::Vector column(m);
-    for (std::size_t j = 0; j < n; ++j) {
-      unit[j] = 1.0;
-      dwt_.inverse_into(unit, atom);
-      linalg::multiply_into(phi_dense_, atom, column);
-      for (std::size_t i = 0; i < m; ++i) a(i, j) = column[i];
-      unit[j] = 0.0;
-    }
-    phi_psi_dense_ = std::move(a);
-  });
-  return phi_psi_dense_;
 }
 
 // ---------------------------------------------------------------------------

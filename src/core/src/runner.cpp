@@ -30,9 +30,10 @@ const char* decode_mode_name(DecodeMode mode) {
 /// histograms), which is what makes the ledger bit-identical across
 /// CSECG_THREADS settings.
 std::string ledger_row(const RecordReport& report, std::size_t w,
-                       std::uint64_t seq, const FrontEndConfig& config,
-                       double sigma, DecodeMode mode, bool outlier) {
+                       std::uint64_t seq, const Decoder& decoder,
+                       DecodeMode mode, bool outlier) {
   const WindowMetrics& m = report.windows[w];
+  const std::size_t measurements = decoder.config().measurements;
   std::string row;
   row.reserve(320);
   row += "{\"kind\":\"window\",\"record\":";
@@ -42,9 +43,9 @@ std::string ledger_row(const RecordReport& report, std::size_t w,
   row += ",\"window\":";
   obs::append_json_u64(row, static_cast<std::uint64_t>(w));
   row += ",\"m\":";
-  obs::append_json_u64(row, static_cast<std::uint64_t>(config.measurements));
+  obs::append_json_u64(row, static_cast<std::uint64_t>(measurements));
   row += ",\"sigma\":";
-  obs::append_json_double(row, sigma);
+  obs::append_json_double(row, decoder.sigma(measurements));
   row += ",\"solver\":\"pdhg\",\"decode_mode\":\"";
   row += decode_mode_name(mode);
   row += "\",\"iterations\":";
@@ -225,8 +226,7 @@ std::string to_jsonl(const std::vector<RecordReport>& reports,
       const bool outlier = next_outlier < report.outlier_windows.size() &&
                            report.outlier_windows[next_outlier] == w;
       if (outlier) ++next_outlier;
-      out += ledger_row(report, w, seq, decoder.config(), decoder.sigma(),
-                        mode, outlier);
+      out += ledger_row(report, w, seq, decoder, mode, outlier);
       out += '\n';
     }
   }

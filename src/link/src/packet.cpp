@@ -23,7 +23,7 @@ std::vector<std::uint8_t> serialize_packet(
     const PacketHeader& header, const std::vector<std::uint8_t>& payload) {
   CSECG_CHECK(payload.size() * 8 <= 0xFFFF,
               "serialize_packet: payload too large for the bit-count field");
-  CSECG_CHECK((header.payload_bits + 7) / 8 == payload.size(),
+  CSECG_CHECK((std::size_t{header.payload_bits} + 7) / 8 == payload.size(),
               "serialize_packet: payload_bits "
                   << header.payload_bits << " does not match "
                   << payload.size() << " payload bytes");

@@ -1,7 +1,6 @@
 #include "csecg/link/session.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <utility>
 
 #include "csecg/common/check.hpp"
@@ -65,16 +64,11 @@ power::NodeEnergy price_window(const core::FrontEndConfig& config,
 /// loss accounting is deterministic too); wall-clock timing stays in the
 /// trace and histograms.
 std::string link_ledger_row(const LinkRecordReport& report, std::size_t w,
-                            std::uint64_t seq,
-                            const core::FrontEndConfig& config,
-                            double sigma_full, bool outlier) {
+                            std::uint64_t seq, const core::Decoder& decoder,
+                            bool outlier) {
   const LinkWindowMetrics& m = report.windows[w];
-  const auto full_m = static_cast<double>(config.measurements);
   const double sigma_eff =
-      m.lowres_only
-          ? 0.0
-          : sigma_full * std::sqrt(
-                             static_cast<double>(m.stats.effective_m) / full_m);
+      m.lowres_only ? 0.0 : decoder.sigma(m.stats.effective_m);
   std::string row;
   row.reserve(420);
   row += "{\"kind\":\"link_window\",\"record\":";
@@ -84,7 +78,8 @@ std::string link_ledger_row(const LinkRecordReport& report, std::size_t w,
   row += ",\"window\":";
   obs::append_json_u64(row, static_cast<std::uint64_t>(w));
   row += ",\"m\":";
-  obs::append_json_u64(row, static_cast<std::uint64_t>(config.measurements));
+  obs::append_json_u64(
+      row, static_cast<std::uint64_t>(decoder.config().measurements));
   row += ",\"m_eff\":";
   obs::append_json_u64(row, static_cast<std::uint64_t>(m.stats.effective_m));
   row += ",\"sigma\":";
@@ -336,8 +331,7 @@ std::string to_jsonl(const std::vector<LinkRecordReport>& reports,
       const bool outlier = next_outlier < report.outlier_windows.size() &&
                            report.outlier_windows[next_outlier] == w;
       if (outlier) ++next_outlier;
-      out += link_ledger_row(report, w, seq, session.config(),
-                             session.decoder().sigma(), outlier);
+      out += link_ledger_row(report, w, seq, session.decoder(), outlier);
       out += '\n';
     }
   }

@@ -51,7 +51,7 @@ TEST(Mutators, SpliceTakesPrefixAndSuffix) {
     bool seen_b = false;
     for (const std::uint8_t byte : out) {
       if (byte == 0xBB) seen_b = true;
-      if (seen_b) EXPECT_EQ(byte, 0xBB);
+      if (seen_b) { EXPECT_EQ(byte, 0xBB); }
     }
   }
 }

@@ -3,11 +3,13 @@
 // decoding, and corrupt-input fuzzing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <numeric>
 
 #include "csecg/core/frontend.hpp"
+#include "csecg/dsp/dwt.hpp"
 #include "csecg/ecg/record.hpp"
 #include "csecg/link/arq.hpp"
 #include "csecg/link/channel.hpp"
@@ -451,6 +453,98 @@ TEST_F(LinkTest, TotalLossStillProducesAWindow) {
   }
 }
 
+// The masked solve on the cached Φ against the row-dropping algorithm it
+// replaced, kept here as the oracle: copy the surviving rows of Φ, pack
+// them, and solve on the surviving entries of y with σ·√(m_eff/m).
+TEST_F(LinkTest, MaskedLossyDecodeMatchesRowDroppedSolve) {
+  core::FrontEndConfig cfg = config();
+  cfg.measurements = 96;  // Three 32-row CS packets at the default MTU.
+  const std::size_t m = cfg.measurements;
+  const std::size_t n = cfg.window;
+  const core::Encoder encoder(cfg, lowres());
+  const core::Decoder decoder(cfg, lowres());
+  const linalg::Vector window = database().record(0).window(400, n);
+  const core::Frame frame = encoder.encode(window);
+
+  sensing::RmpiConfig rmpi_config;
+  rmpi_config.channels = m;
+  rmpi_config.window = n;
+  rmpi_config.chip_seed = cfg.chip_seed;
+  const linalg::Matrix phi =
+      sensing::RmpiSimulator(rmpi_config).effective_matrix();
+  const linalg::LinearOperator psi =
+      dsp::Dwt(cfg.wavelet, n, cfg.wavelet_levels).synthesis_operator();
+  recovery::PdhgOptions options = cfg.solver;
+  options.phi_norm_hint = linalg::operator_norm_estimate(
+      linalg::LinearOperator::from_matrix(phi), 60);
+  const double dc = cfg.dc_reference();
+  const std::vector<std::int64_t> codes =
+      lowres().decode(frame.lowres_payload, n);
+  const sensing::LowResChannel channel({cfg.lowres_bits, cfg.record_bits});
+  recovery::BoxConstraint box;
+  box.lower = channel.reconstruct(codes);
+  box.upper = box.lower;
+  for (std::size_t i = 0; i < n; ++i) {
+    box.lower[i] -= dc;
+    box.upper[i] += channel.step() - dc;
+  }
+
+  for (const bool packet_aligned : {true, false}) {
+    for (const bool with_box : {true, false}) {
+      SCOPED_TRACE(testing::Message() << "packet_aligned=" << packet_aligned
+                                      << " with_box=" << with_box);
+      core::LossyWindow lossy;
+      lossy.window = n;
+      lossy.measurements = frame.measurements;
+      lossy.measurement_mask.assign(m, 1);
+      lossy.lowres_codes = codes;
+      lossy.lowres_mask.assign(n, with_box ? 1 : 0);
+      std::vector<std::size_t> kept;
+      for (std::size_t i = 0; i < m; ++i) {
+        const bool lost = packet_aligned ? (i >= 32 && i < 64) : i % 7 == 0;
+        if (lost) {
+          lossy.measurement_mask[i] = 0;
+          lossy.measurements[i] = 1e9;  // Undefined on a lost row.
+        } else {
+          kept.push_back(i);
+        }
+      }
+
+      linalg::Matrix sub(kept.size(), n);
+      linalg::Vector y_kept(kept.size());
+      for (std::size_t r = 0; r < kept.size(); ++r) {
+        std::copy(phi.row(kept[r]), phi.row(kept[r]) + n, sub.row(r));
+        y_kept[r] = frame.measurements[kept[r]];
+      }
+      const auto phi_sub = linalg::LinearOperator::from_matrix(sub);
+      recovery::PdhgOptions ref_options = options;
+      if (!with_box) {
+        const linalg::Cholesky chol(
+            linalg::multiply(sub, linalg::transpose(sub)));
+        ref_options.x0 = phi_sub.apply_adjoint(chol.solve(y_kept));
+      }
+      const recovery::PdhgResult ref = recovery::solve_bpdn(
+          phi_sub, psi, y_kept, decoder.sigma(kept.size()),
+          with_box ? std::optional(box) : std::nullopt, ref_options);
+      linalg::Vector expected = ref.x;
+      for (auto& v : expected) v += dc;
+
+      const core::LossyDecodeResult got = decoder.decode_lossy(lossy);
+      ASSERT_EQ(got.effective_m, kept.size());
+      EXPECT_EQ(got.used_box, with_box);
+      EXPECT_EQ(got.solver.iterations, ref.iterations);
+      EXPECT_EQ(got.solver.exit, ref.exit);
+      if (packet_aligned) {
+        EXPECT_EQ(got.x, expected);
+      } else {
+        linalg::Vector diff = got.x;
+        for (std::size_t i = 0; i < n; ++i) diff[i] -= expected[i];
+        EXPECT_LE(linalg::norm2(diff), 1e-12 * linalg::norm2(expected));
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Fuzzing: arbitrary corruption must never crash the receive path.
 
@@ -564,6 +658,13 @@ TEST_F(LinkTest, RunLinkRecordIsThreadDeterministic) {
       run_link_record(session, record, 3, 0, threaded);
 
   ASSERT_EQ(a.windows.size(), b.windows.size());
+  // At least one window lost part of its CS train: the masked solve ran.
+  const std::size_t m = config().measurements;
+  EXPECT_TRUE(std::any_of(a.windows.begin(), a.windows.end(),
+                          [m](const LinkWindowMetrics& w) {
+                            const std::size_t kept = w.stats.effective_m;
+                            return kept > 0 && kept < m;
+                          }));
   EXPECT_EQ(a.mean_snr, b.mean_snr);
   EXPECT_EQ(a.mean_prd, b.mean_prd);
   EXPECT_EQ(a.delivery_rate, b.delivery_rate);
