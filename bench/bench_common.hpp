@@ -12,9 +12,7 @@
 
 #include "csecg/core/frontend.hpp"
 #include "csecg/core/runner.hpp"
-#include "csecg/dsp/dwt.hpp"
 #include "csecg/ecg/record.hpp"
-#include "csecg/linalg/matrix.hpp"
 
 namespace csecg::bench {
 
@@ -60,23 +58,6 @@ inline double converged_fraction(
   return windows == 0 ? 0.0
                       : static_cast<double>(converged) /
                             static_cast<double>(windows);
-}
-
-/// Dense synthesis dictionary A = Φ·Ψ (column j is Φ applied to wavelet
-/// atom j): the matrix the coefficient-domain solvers (SPGL1, FISTA,
-/// ADMM, greedy pursuit) take.
-inline linalg::Matrix dense_phi_psi(const linalg::Matrix& phi,
-                                    const dsp::Dwt& dwt) {
-  const std::size_t n = phi.cols();
-  linalg::Matrix a(phi.rows(), n);
-  linalg::Vector unit(n);
-  for (std::size_t j = 0; j < n; ++j) {
-    unit[j] = 1.0;
-    const linalg::Vector column = linalg::multiply(phi, dwt.inverse(unit));
-    for (std::size_t i = 0; i < phi.rows(); ++i) a(i, j) = column[i];
-    unit[j] = 0.0;
-  }
-  return a;
 }
 
 inline void print_header(const char* experiment, const char* paper_ref) {

@@ -1,8 +1,7 @@
-// Direct dense solvers: Cholesky, Householder QR, least squares.
+// Direct dense solvers: Cholesky and triangular substitution.
 //
-// These back the greedy recovery algorithms (OMP/CoSaMP solve small
-// least-squares subproblems every iteration) and various tests.  All
-// factorizations are value types holding their own storage.
+// Cholesky factors the Gram matrix ΦΦᵀ behind the decoder's least-norm
+// warm start.  Factorizations are value types holding their own storage.
 #pragma once
 
 #include <cstddef>
@@ -29,38 +28,10 @@ class Cholesky {
   Matrix l_;
 };
 
-/// Householder QR factorization A = Q·R for m×n with m ≥ n.
-/// Stores the Householder vectors compactly; Q is applied implicitly.
-class HouseholderQr {
- public:
-  /// Factorizes A.  Throws std::invalid_argument if rows < cols.
-  explicit HouseholderQr(const Matrix& a);
-
-  /// Least-squares solution argmin ‖A·x − b‖₂.  Throws std::runtime_error
-  /// if A is numerically rank-deficient (|r_kk| below tolerance).
-  Vector solve(const Vector& b) const;
-
-  /// Applies Qᵀ to a vector of length rows().
-  Vector apply_qt(const Vector& b) const;
-
-  /// Upper-triangular factor R (n×n leading block).
-  Matrix r() const;
-
-  std::size_t rows() const noexcept { return qr_.rows(); }
-  std::size_t cols() const noexcept { return qr_.cols(); }
-
- private:
-  Matrix qr_;    // R in the upper triangle, Householder vectors below.
-  Vector beta_;  // Householder scalars.
-};
-
 /// Solves L·x = b with L lower triangular (forward substitution).
 Vector solve_lower(const Matrix& l, const Vector& b);
 
 /// Solves U·x = b with U upper triangular (back substitution).
 Vector solve_upper(const Matrix& u, const Vector& b);
-
-/// Convenience: least-squares solution of A·x = b via Householder QR.
-Vector least_squares(const Matrix& a, const Vector& b);
 
 }  // namespace csecg::linalg

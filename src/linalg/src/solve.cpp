@@ -45,82 +45,6 @@ Vector Cholesky::solve(const Vector& b) const {
   return x;
 }
 
-HouseholderQr::HouseholderQr(const Matrix& a) : qr_(a), beta_(a.cols()) {
-  CSECG_CHECK(a.rows() >= a.cols(),
-              "HouseholderQr requires rows >= cols, got "
-                  << a.rows() << "x" << a.cols());
-  const std::size_t m = qr_.rows();
-  const std::size_t n = qr_.cols();
-  for (std::size_t k = 0; k < n; ++k) {
-    // Build the Householder reflector for column k.
-    double norm = 0.0;
-    for (std::size_t i = k; i < m; ++i) norm += qr_(i, k) * qr_(i, k);
-    norm = std::sqrt(norm);
-    if (norm == 0.0) {
-      beta_[k] = 0.0;
-      continue;
-    }
-    const double alpha = qr_(k, k) >= 0.0 ? -norm : norm;
-    const double v0 = qr_(k, k) - alpha;
-    // Normalize the reflector so v[k] == 1 (stored implicitly).
-    for (std::size_t i = k + 1; i < m; ++i) qr_(i, k) /= v0;
-    beta_[k] = -v0 / alpha;
-    qr_(k, k) = alpha;
-    // Apply the reflector to the trailing columns.
-    for (std::size_t j = k + 1; j < n; ++j) {
-      double s = qr_(k, j);
-      for (std::size_t i = k + 1; i < m; ++i) s += qr_(i, k) * qr_(i, j);
-      s *= beta_[k];
-      qr_(k, j) -= s;
-      for (std::size_t i = k + 1; i < m; ++i) qr_(i, j) -= s * qr_(i, k);
-    }
-  }
-}
-
-Vector HouseholderQr::apply_qt(const Vector& b) const {
-  CSECG_CHECK(b.size() == rows(), "apply_qt dimension mismatch");
-  const std::size_t m = rows();
-  const std::size_t n = cols();
-  Vector y = b;
-  for (std::size_t k = 0; k < n; ++k) {
-    if (beta_[k] == 0.0) continue;
-    double s = y[k];
-    for (std::size_t i = k + 1; i < m; ++i) s += qr_(i, k) * y[i];
-    s *= beta_[k];
-    y[k] -= s;
-    for (std::size_t i = k + 1; i < m; ++i) y[i] -= s * qr_(i, k);
-  }
-  return y;
-}
-
-Vector HouseholderQr::solve(const Vector& b) const {
-  const std::size_t n = cols();
-  const Vector y = apply_qt(b);
-  Vector x(n);
-  constexpr double kRankTol = 1e-12;
-  double rmax = 0.0;
-  for (std::size_t i = 0; i < n; ++i) rmax = std::max(rmax, std::abs(qr_(i, i)));
-  for (std::size_t ii = n; ii-- > 0;) {
-    const double rkk = qr_(ii, ii);
-    if (std::abs(rkk) <= kRankTol * std::max(1.0, rmax)) {
-      throw std::runtime_error("HouseholderQr::solve: rank-deficient system");
-    }
-    double acc = y[ii];
-    for (std::size_t j = ii + 1; j < n; ++j) acc -= qr_(ii, j) * x[j];
-    x[ii] = acc / rkk;
-  }
-  return x;
-}
-
-Matrix HouseholderQr::r() const {
-  const std::size_t n = cols();
-  Matrix out(n, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i; j < n; ++j) out(i, j) = qr_(i, j);
-  }
-  return out;
-}
-
 Vector solve_lower(const Matrix& l, const Vector& b) {
   CSECG_CHECK(l.rows() == l.cols(), "solve_lower requires square matrix");
   CSECG_CHECK(b.size() == l.rows(), "solve_lower dimension mismatch");
@@ -147,10 +71,6 @@ Vector solve_upper(const Matrix& u, const Vector& b) {
     x[ii] = acc / u(ii, ii);
   }
   return x;
-}
-
-Vector least_squares(const Matrix& a, const Vector& b) {
-  return HouseholderQr(a).solve(b);
 }
 
 }  // namespace csecg::linalg

@@ -64,9 +64,6 @@ struct PdhgOptions {
   /// consistent start such as the least-norm solution Φᵀ(ΦΦᵀ)⁻¹y cuts the
   /// iteration count dramatically for the unconstrained baseline.
   linalg::Vector x0;
-  /// Optional per-coefficient ℓ1 weights (empty = all ones): the objective
-  /// becomes Σᵢ wᵢ·|（Ψᵀx)ᵢ|.  Used by the reweighted-ℓ1 wrapper.
-  linalg::Vector coefficient_weights;
 };
 
 /// Validates PdhgOptions; throws std::invalid_argument on nonsense.

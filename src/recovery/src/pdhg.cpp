@@ -25,9 +25,6 @@ void validate(const PdhgOptions& options) {
               "PdhgOptions: dual_primal_ratio must be positive");
   CSECG_CHECK(options.phi_norm_hint >= 0.0,
               "PdhgOptions: phi_norm_hint must be non-negative");
-  for (double w : options.coefficient_weights) {
-    CSECG_CHECK(w >= 0.0, "PdhgOptions: coefficient weights must be >= 0");
-  }
 }
 
 PdhgSteps step_sizes(double phi_norm, bool with_box,
@@ -87,11 +84,6 @@ PdhgResult solve_bpdn(const linalg::LinearOperator& phi,
       CSECG_CHECK(box->lower[i] <= box->upper[i],
                   "solve_bpdn: empty box at sample " << i);
     }
-  }
-  const bool weighted = !options.coefficient_weights.empty();
-  if (weighted) {
-    CSECG_CHECK(options.coefficient_weights.size() == n,
-                "solve_bpdn: coefficient_weights must have length " << n);
   }
 
   const double phi_norm = options.phi_norm_hint > 0.0
@@ -186,9 +178,7 @@ PdhgResult solve_bpdn(const linalg::LinearOperator& phi,
     {
       psi.apply_adjoint_into(x_new, coeffs);
       for (std::size_t i = 0; i < n; ++i) {
-        const double threshold =
-            weighted ? tau * options.coefficient_weights[i] : tau;
-        coeffs[i] = soft_threshold(coeffs[i], threshold);
+        coeffs[i] = soft_threshold(coeffs[i], tau);
       }
       psi.apply_into(coeffs, x_new);
     }

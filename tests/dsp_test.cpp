@@ -1,11 +1,13 @@
 // Unit tests for csecg::dsp — wavelet filter banks (QMF orthonormality for
-// every family), DWT perfect reconstruction / orthonormality, FIR tools.
+// every family), DWT perfect reconstruction / orthonormality, FIR tools,
+// and the orthonormal DCT-II dictionary.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <numbers>
 #include <stdexcept>
 
+#include "csecg/dsp/dct.hpp"
 #include "csecg/dsp/dwt.hpp"
 #include "csecg/dsp/fir.hpp"
 #include "csecg/dsp/wavelet.hpp"
@@ -284,6 +286,61 @@ TEST(Fir, MovingAverageSmoothsNoise) {
   const Vector x = random_signal(400, 44);
   const Vector y = moving_average(x, 21);
   EXPECT_LT(linalg::norm2(y), linalg::norm2(x) * 0.5);
+}
+
+// ---------------------------------------------------------------------------
+// DCT.
+
+TEST(Dct, Validation) {
+  EXPECT_THROW(dsp::Dct(0), std::invalid_argument);
+  const dsp::Dct dct(8);
+  EXPECT_THROW(dct.forward(Vector(7)), std::invalid_argument);
+  EXPECT_THROW(dct.inverse(Vector(9)), std::invalid_argument);
+}
+
+TEST(Dct, PerfectReconstruction) {
+  const dsp::Dct dct(64);
+  rng::Xoshiro256 gen(11);
+  Vector x(64);
+  for (auto& v : x) v = rng::normal(gen);
+  const Vector rec = dct.inverse(dct.forward(x));
+  for (std::size_t i = 0; i < 64; ++i) EXPECT_NEAR(rec[i], x[i], 1e-10);
+}
+
+TEST(Dct, EnergyPreserved) {
+  const dsp::Dct dct(128);
+  rng::Xoshiro256 gen(12);
+  Vector x(128);
+  for (auto& v : x) v = rng::normal(gen);
+  EXPECT_NEAR(linalg::norm2(dct.forward(x)), linalg::norm2(x), 1e-10);
+}
+
+TEST(Dct, ConstantSignalIsDcOnly) {
+  const dsp::Dct dct(32);
+  const Vector x(32, 3.0);
+  const Vector coeffs = dct.forward(x);
+  EXPECT_NEAR(coeffs[0], 3.0 * std::sqrt(32.0), 1e-10);
+  for (std::size_t k = 1; k < 32; ++k) EXPECT_NEAR(coeffs[k], 0.0, 1e-10);
+}
+
+TEST(Dct, PureToneIsOneCoefficient) {
+  const std::size_t n = 64;
+  const dsp::Dct dct(n);
+  // DCT-II basis vector k=5 as the signal: coefficients = e_5.
+  Vector unit(n);
+  unit[5] = 1.0;
+  const Vector tone = dct.inverse(unit);
+  const Vector coeffs = dct.forward(tone);
+  for (std::size_t k = 0; k < n; ++k) {
+    EXPECT_NEAR(coeffs[k], k == 5 ? 1.0 : 0.0, 1e-10);
+  }
+}
+
+TEST(Dct, SynthesisOperatorOrthonormal) {
+  const dsp::Dct dct(48);
+  const auto psi = dct.synthesis_operator();
+  EXPECT_LT(linalg::adjoint_mismatch(psi), 1e-12);
+  EXPECT_NEAR(linalg::operator_norm_estimate(psi, 60), 1.0, 1e-8);
 }
 
 }  // namespace

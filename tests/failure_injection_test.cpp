@@ -1,12 +1,18 @@
 // Failure-injection tests: corrupted payloads, clipping, and hostile
 // inputs must surface as exceptions or graceful degradation — never
-// silent corruption.  Also compiles the umbrella header.
+// silent corruption.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <stdexcept>
 
-#include "csecg/csecg.hpp"
+#include "csecg/coding/decode_error.hpp"
+#include "csecg/coding/delta_huffman_codec.hpp"
+#include "csecg/core/config.hpp"
+#include "csecg/core/frame.hpp"
+#include "csecg/core/frontend.hpp"
+#include "csecg/ecg/record.hpp"
+#include "csecg/linalg/vector.hpp"
 
 namespace csecg {
 namespace {
@@ -134,22 +140,6 @@ TEST_F(FailureTest, SolverBudgetExhaustionIsReported) {
       codec.roundtrip(database().record(0).window(400, 256));
   EXPECT_FALSE(result.solver.converged);
   EXPECT_EQ(result.solver.iterations, 2);
-}
-
-TEST(UmbrellaHeader, PullsEverythingIn) {
-  // Touch one symbol from each subsystem to prove the umbrella compiles
-  // and links.
-  rng::Xoshiro256 gen(1);
-  EXPECT_NO_THROW(rng::uniform01(gen));
-  EXPECT_EQ(linalg::Matrix::identity(2)(0, 0), 1.0);
-  EXPECT_EQ(dsp::wavelet_name(dsp::WaveletFamily::kDb4), "db4");
-  EXPECT_EQ(ecg::beat_type_code(ecg::BeatType::kPvc), std::string("V"));
-  EXPECT_GT(sensing::welch_bound(8, 32), 0.0);
-  EXPECT_EQ(recovery::soft_threshold(2.0, 1.0), 1.0);
-  EXPECT_EQ(coding::histogram({1, 1}).size(), 1u);
-  EXPECT_GT(power::TechnologyParams{}.vdd, 0.0);
-  EXPECT_NEAR(metrics::snr_from_prd(100.0), 0.0, 1e-12);
-  EXPECT_NO_THROW(validate(core::FrontEndConfig{}));
 }
 
 }  // namespace

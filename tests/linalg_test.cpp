@@ -296,48 +296,6 @@ TEST(Cholesky, FactorReproducesMatrix) {
   EXPECT_LT(max_abs_diff(spd, llt), 1e-10);
 }
 
-TEST(HouseholderQr, SolvesSquareSystem) {
-  const Matrix a = random_matrix(6, 6, 9);
-  const Vector x_true = random_vector(6, 10);
-  const Vector b = multiply(a, x_true);
-  const Vector x = HouseholderQr(a).solve(b);
-  for (std::size_t i = 0; i < 6; ++i) EXPECT_NEAR(x[i], x_true[i], 1e-9);
-}
-
-TEST(HouseholderQr, LeastSquaresResidualOrthogonal) {
-  const Matrix a = random_matrix(12, 5, 11);
-  const Vector b = random_vector(12, 12);
-  const Vector x = least_squares(a, b);
-  // Normal equations: Aᵀ(b − Ax) = 0.
-  Vector r = b - multiply(a, x);
-  const Vector atr = multiply_transpose(a, r);
-  EXPECT_LT(norm_inf(atr), 1e-9);
-}
-
-TEST(HouseholderQr, RejectsUnderdetermined) {
-  EXPECT_THROW(HouseholderQr(Matrix(3, 5)), std::invalid_argument);
-}
-
-TEST(HouseholderQr, DetectsRankDeficiency) {
-  Matrix a(4, 2);
-  for (std::size_t i = 0; i < 4; ++i) {
-    a(i, 0) = static_cast<double>(i + 1);
-    a(i, 1) = 2.0 * static_cast<double>(i + 1);  // Dependent column.
-  }
-  EXPECT_THROW(HouseholderQr(a).solve(Vector(4)), std::runtime_error);
-}
-
-TEST(HouseholderQr, RFactorIsUpperTriangularAndConsistent) {
-  const Matrix a = random_matrix(8, 4, 13);
-  const HouseholderQr qr(a);
-  const Matrix r = qr.r();
-  for (std::size_t i = 0; i < 4; ++i) {
-    for (std::size_t j = 0; j < i; ++j) EXPECT_EQ(r(i, j), 0.0);
-  }
-  // ‖R‖F == ‖A‖F for an orthogonal factorization.
-  EXPECT_NEAR(frobenius_norm(r), frobenius_norm(a), 1e-9);
-}
-
 TEST(TriangularSolvers, RoundTrip) {
   Matrix l(3, 3);
   l(0, 0) = 2;

@@ -1,7 +1,6 @@
 // Unit tests for csecg::recovery — proximal operators, the PDHG
 // box-constrained BPDN solver (paper problem (1)) and its step sizes,
-// stopping tests and exit reasons, FISTA/ADMM LASSO agreement, and greedy
-// pursuit exact-recovery properties.
+// stopping tests and exit reasons, and the FISTA LASSO cross-check.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,9 +15,7 @@
 #include "csecg/linalg/operator.hpp"
 #include "csecg/metrics/quality.hpp"
 #include "csecg/obs/registry.hpp"
-#include "csecg/recovery/admm.hpp"
 #include "csecg/recovery/fista.hpp"
-#include "csecg/recovery/greedy.hpp"
 #include "csecg/recovery/pdhg.hpp"
 #include "csecg/recovery/prox.hpp"
 #include "csecg/rng/distributions.hpp"
@@ -50,8 +47,7 @@ Vector sparse_vector(std::size_t n, std::size_t k, std::uint64_t seed) {
     do {
       idx = static_cast<std::size_t>(rng::uniform_below(gen, n));
     } while (x[idx] != 0.0);
-    // Amplitudes bounded away from zero so support identification is
-    // well-posed for the greedy solvers.
+    // Amplitudes bounded away from zero so the support is well-posed.
     x[idx] = static_cast<double>(rng::rademacher(gen)) *
              rng::uniform(gen, 1.0, 3.0);
   }
@@ -492,7 +488,6 @@ TEST(Pdhg, BoxFeasibilityIsPerSampleWidth) {
   options.tol = 1.0;
   options.feasibility_tol = 1e-3;
   options.x0 = x0;
-  options.coefficient_weights = Vector(n, 0.0);  // Prox is the identity.
   const PdhgResult res =
       solve_bpdn(LinearOperator::from_matrix(a), LinearOperator::identity(n),
                  y, 1e3, box, options);
@@ -652,7 +647,7 @@ TEST(Pdhg, DefaultRelaxationCutsIterations) {
 }
 
 // ---------------------------------------------------------------------------
-// FISTA & ADMM.
+// FISTA.
 
 TEST(Fista, OptionsValidation) {
   FistaOptions bad;
@@ -695,131 +690,6 @@ TEST(Fista, RejectsBadLambdaAndDims) {
   const auto op = LinearOperator::from_matrix(a);
   EXPECT_THROW(solve_lasso_fista(op, Vector(8), 0.0), std::invalid_argument);
   EXPECT_THROW(solve_lasso_fista(op, Vector(7), 0.1), std::invalid_argument);
-}
-
-TEST(Admm, OptionsValidation) {
-  AdmmOptions bad;
-  bad.rho = 0.0;
-  EXPECT_THROW(validate(bad), std::invalid_argument);
-}
-
-TEST(Admm, MatchesFistaOptimum) {
-  // Same LASSO, two solvers, one optimum.
-  const std::size_t n = 96;
-  const Matrix a = gaussian_matrix(32, n, 25);
-  const Vector y = linalg::multiply(a, sparse_vector(n, 4, 26));
-  const double lambda = 0.01;
-  FistaOptions fista_options;
-  fista_options.max_iterations = 4000;
-  fista_options.tol = 1e-12;
-  AdmmOptions admm_options;
-  admm_options.max_iterations = 4000;
-  admm_options.abs_tol = 1e-10;
-  admm_options.rel_tol = 1e-9;
-  const FistaResult f = solve_lasso_fista(LinearOperator::from_matrix(a), y,
-                                          lambda, fista_options);
-  const AdmmResult ad = solve_lasso_admm(a, y, lambda, admm_options);
-  EXPECT_NEAR(f.objective, ad.objective,
-              1e-4 * std::max(1.0, f.objective));
-}
-
-TEST(Admm, RejectsTallMatrix) {
-  const Matrix a = gaussian_matrix(16, 16, 27);
-  EXPECT_NO_THROW(solve_lasso_admm(a, Vector(16), 0.1));
-  const Matrix tall = gaussian_matrix(20, 16, 28);
-  (void)tall;
-  Matrix t2(20, 16);
-  EXPECT_THROW(solve_lasso_admm(t2, Vector(20), 0.1), std::invalid_argument);
-}
-
-// ---------------------------------------------------------------------------
-// Greedy pursuit.
-
-TEST(Greedy, OptionsValidation) {
-  GreedyOptions bad;
-  bad.max_sparsity = 0;
-  EXPECT_THROW(validate(bad), std::invalid_argument);
-}
-
-TEST(Omp, ExactRecoveryWellConditioned) {
-  const std::size_t n = 256;
-  const std::size_t m = 64;
-  const Matrix a = gaussian_matrix(m, n, 29);
-  const Vector x_true = sparse_vector(n, 8, 30);
-  const Vector y = linalg::multiply(a, x_true);
-  GreedyOptions options;
-  options.max_sparsity = 8;
-  const GreedyResult res = solve_omp(a, y, options);
-  EXPECT_TRUE(res.converged);
-  EXPECT_LT(linalg::norm2(res.coefficients - x_true) /
-                linalg::norm2(x_true),
-            1e-8);
-}
-
-TEST(Omp, SupportSizeBounded) {
-  const Matrix a = gaussian_matrix(32, 128, 31);
-  const Vector y = linalg::multiply(a, sparse_vector(128, 20, 32));
-  GreedyOptions options;
-  options.max_sparsity = 5;
-  const GreedyResult res = solve_omp(a, y, options);
-  EXPECT_LE(res.support.size(), 5u);
-  EXPECT_FALSE(res.converged);  // 20-sparse can't be fit with 5 atoms.
-}
-
-TEST(Omp, ZeroMeasurementVector) {
-  const Matrix a = gaussian_matrix(16, 64, 33);
-  GreedyOptions options;
-  options.max_sparsity = 8;
-  const GreedyResult res = solve_omp(a, Vector(16), options);
-  EXPECT_TRUE(res.support.empty());
-  EXPECT_EQ(linalg::norm2(res.coefficients), 0.0);
-}
-
-TEST(Omp, Validation) {
-  const Matrix a = gaussian_matrix(16, 64, 34);
-  EXPECT_THROW(solve_omp(a, Vector(15)), std::invalid_argument);
-  GreedyOptions options;
-  options.max_sparsity = 17;  // > m.
-  EXPECT_THROW(solve_omp(a, Vector(16), options), std::invalid_argument);
-}
-
-TEST(CoSaMp, ExactRecoveryWellConditioned) {
-  const std::size_t n = 256;
-  const std::size_t m = 96;
-  const Matrix a = gaussian_matrix(m, n, 35);
-  const Vector x_true = sparse_vector(n, 8, 36);
-  const Vector y = linalg::multiply(a, x_true);
-  GreedyOptions options;
-  options.max_sparsity = 8;
-  const GreedyResult res = solve_cosamp(a, y, options);
-  EXPECT_TRUE(res.converged);
-  EXPECT_LT(linalg::norm2(res.coefficients - x_true) /
-                linalg::norm2(x_true),
-            1e-6);
-}
-
-TEST(CoSaMp, NoisyMeasurementsBoundedResidual) {
-  const std::size_t n = 128;
-  const std::size_t m = 64;
-  const Matrix a = gaussian_matrix(m, n, 37);
-  const Vector x_true = sparse_vector(n, 6, 38);
-  rng::Xoshiro256 gen(39);
-  Vector y = linalg::multiply(a, x_true);
-  for (auto& v : y) v += rng::normal(gen, 0.0, 0.01);
-  GreedyOptions options;
-  options.max_sparsity = 6;
-  options.residual_tol = 0.0;  // Run to stagnation.
-  const GreedyResult res = solve_cosamp(a, y, options);
-  EXPECT_LT(res.residual_norm, 0.05 * linalg::norm2(y));
-}
-
-TEST(CoSaMp, SupportExactlyK) {
-  const Matrix a = gaussian_matrix(64, 128, 40);
-  const Vector y = linalg::multiply(a, sparse_vector(128, 8, 41));
-  GreedyOptions options;
-  options.max_sparsity = 8;
-  const GreedyResult res = solve_cosamp(a, y, options);
-  EXPECT_LE(res.support.size(), 8u);
 }
 
 }  // namespace
