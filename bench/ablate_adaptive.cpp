@@ -13,13 +13,14 @@
 
 int main() {
   using namespace csecg;
-  bench::print_header("ablate_adaptive",
-                      "adaptive vs fixed measurement rate at equal average "
-                      "channel count");
-
   const auto& database = bench::shared_database();
   const std::size_t windows =
       std::max<std::size_t>(bench::windows_budget(), 3);
+  const std::vector<const char*> names = {"100", "208", "119", "112"};
+  bench::print_header("ablate_adaptive",
+                      "adaptive vs fixed measurement rate at equal average "
+                      "channel count",
+                      names.size(), windows);
 
   core::FrontEndConfig base;
   const auto lowres_codec = core::train_lowres_codec(base, database);
@@ -32,7 +33,7 @@ int main() {
 
   std::printf("record,mean_m_adaptive,adaptive_snr_db,fixed_snr_db\n");
   // "100" is quiet; "208" carries a heavy PVC burden.
-  for (const char* name : {"100", "208", "119", "112"}) {
+  for (const char* name : names) {
     std::size_t index = 0;
     for (std::size_t i = 0; i < database.size(); ++i) {
       if (database.name(i) == name) index = i;

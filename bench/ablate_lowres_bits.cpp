@@ -9,13 +9,13 @@
 
 int main() {
   using namespace csecg;
-  bench::print_header("ablate_lowres_bits",
-                      "design ablation — side-channel bit depth at m=64");
-
   const auto& database = bench::shared_database();
   const std::size_t records = std::min<std::size_t>(bench::records_budget(),
                                                     6);
   const std::size_t windows = bench::windows_budget();
+  bench::print_header("ablate_lowres_bits",
+                      "design ablation — side-channel bit depth at m=64",
+                      records, windows);
 
   std::printf("lowres_bits,hybrid_snr_db,overhead_percent,net_cr_percent,"
               "codebook_bytes\n");

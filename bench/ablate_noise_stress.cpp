@@ -11,9 +11,14 @@
 
 int main() {
   using namespace csecg;
+  const std::size_t windows =
+      std::max<std::size_t>(bench::windows_budget(), 2);
+  const std::vector<double> emg_levels_mv = {0.0,  0.01, 0.02,
+                                             0.05, 0.1,  0.2};
   bench::print_header("ablate_noise_stress",
                       "noise stress — EMG level vs reconstruction SNR at "
-                      "m=96");
+                      "m=96",
+                      emg_levels_mv.size(), windows);
 
   core::FrontEndConfig config;
   config.measurements = 96;
@@ -23,11 +28,9 @@ int main() {
 
   ecg::RecordConfig record_config;
   record_config.duration_seconds = 30.0;
-  const std::size_t windows =
-      std::max<std::size_t>(bench::windows_budget(), 2);
 
   std::printf("emg_mv,hybrid_snr_db,cs_snr_db\n");
-  for (double emg_mv : {0.0, 0.01, 0.02, 0.05, 0.1, 0.2}) {
+  for (const double emg_mv : emg_levels_mv) {
     ecg::RecordProfile profile = ecg::mitbih_surrogate_profiles()[0];
     profile.noise.emg_mv = emg_mv;
     const ecg::EcgRecord record =

@@ -12,16 +12,16 @@
 
 int main() {
   using namespace csecg;
-  bench::print_header("ablate_rle",
-                      "coder ablation — scalar Huffman vs zero-run vs "
-                      "entropy ideal, overhead D_i (%)");
-
   const auto& database = bench::shared_database();
   const std::size_t train_records = bench::records_budget();
   const std::size_t windows =
       std::max<std::size_t>(bench::windows_budget(), 4);
   const std::size_t eval_start = train_records;
   const std::size_t eval_count = std::min<std::size_t>(8, 48 - eval_start);
+  bench::print_header("ablate_rle",
+                      "coder ablation — scalar Huffman vs zero-run vs "
+                      "entropy ideal, overhead D_i (%)",
+                      train_records + eval_count, windows);
 
   std::printf("bits,huffman_D,zero_run_D,entropy_D,paper_D\n");
   const double paper[] = {2.3, 3.1, 4.2, 5.6, 7.8, 11.4, 17.6, 26.3};

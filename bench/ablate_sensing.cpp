@@ -9,13 +9,13 @@
 
 int main() {
   using namespace csecg;
-  bench::print_header("ablate_sensing",
-                      "design ablation — sensing ensemble at m=96");
-
   const auto& database = bench::shared_database();
   const std::size_t records = std::min<std::size_t>(bench::records_budget(),
                                                     6);
   const std::size_t windows = bench::windows_budget();
+  bench::print_header("ablate_sensing",
+                      "design ablation — sensing ensemble at m=96", records,
+                      windows);
   core::FrontEndConfig base;
   const auto lowres_codec = core::train_lowres_codec(base, database);
 

@@ -51,8 +51,11 @@ linalg::Matrix dense_phi_psi(const linalg::Matrix& phi, const dsp::Dwt& dwt) {
 }  // namespace
 
 int main() {
+  const std::size_t record_count =
+      std::min<std::size_t>(bench::records_budget(), 4);
   bench::print_header("ablate_solver",
-                      "design ablation — recovery algorithm at m=128");
+                      "design ablation — recovery algorithm at m=128",
+                      record_count, 1);
 
   const auto& database = bench::shared_database();
   core::FrontEndConfig config;
@@ -72,8 +75,6 @@ int main() {
   const auto a_op = linalg::LinearOperator::from_matrix(
       dense_phi_psi(rmpi.effective_matrix(), dwt));
 
-  const std::size_t record_count =
-      std::min<std::size_t>(bench::records_budget(), 4);
   std::printf("solver,mean_snr_db,mean_ms\n");
 
   struct Accumulator {

@@ -60,12 +60,19 @@ inline double converged_fraction(
                             static_cast<double>(windows);
 }
 
-inline void print_header(const char* experiment, const char* paper_ref) {
+/// Prints the bench banner.  `records` × `windows` is the workload the
+/// bench actually runs, after its own caps and floors on the
+/// CSECG_RECORDS / CSECG_WINDOWS budget; 0 records marks a bench that
+/// evaluates models only.
+inline void print_header(const char* experiment, const char* paper_ref,
+                         std::size_t records, std::size_t windows) {
   std::printf("# %s\n", experiment);
   std::printf("# reproduces: %s\n", paper_ref);
-  std::printf("# workload: %zu records x %zu windows (CSECG_RECORDS / "
-              "CSECG_WINDOWS to rescale)\n",
-              records_budget(), windows_budget());
+  if (records == 0) {
+    std::printf("# workload: analytical models, no records\n");
+  } else {
+    std::printf("# workload: %zu records x %zu windows\n", records, windows);
+  }
 }
 
 }  // namespace csecg::bench

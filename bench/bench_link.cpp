@@ -60,9 +60,6 @@ struct ArqRow {
 }  // namespace
 
 int main() {
-  bench::print_header("bench_link",
-                      "ISSUE 2 — telemetry link loss/energy trade-off");
-
   const auto& database = bench::shared_database();
   const core::FrontEndConfig config = bench_config();
   const auto lowres_codec = core::train_lowres_codec(config, database, 3, 3);
@@ -75,6 +72,8 @@ int main() {
                                 : bench::records_budget(),
                             database.size());
   const std::size_t windows = bench::windows_budget();
+  bench::print_header("bench_link", "telemetry link loss/energy trade-off",
+                      records, windows);
   parallel::ThreadPool pool;
 
   const std::vector<double> loss_grid = {0.0,  0.05, 0.10, 0.15,

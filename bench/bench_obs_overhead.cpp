@@ -29,9 +29,6 @@ double seconds_since(Clock::time_point start) {
 }  // namespace
 
 int main() {
-  bench::print_header("bench_obs_overhead",
-                      "ISSUE 3 — observability throughput cost");
-
   const auto& database = bench::shared_database();
   core::FrontEndConfig config;
   const auto lowres_codec = core::train_lowres_codec(config, database, 3, 3);
@@ -39,6 +36,8 @@ int main() {
 
   const std::size_t records = std::min<std::size_t>(bench::records_budget(), 8);
   const std::size_t windows = std::max<std::size_t>(bench::windows_budget(), 2);
+  bench::print_header("bench_obs_overhead", "observability throughput cost",
+                      records, windows);
   const std::size_t total_windows = records * windows;
   parallel::ThreadPool pool(1);  // Serial: per-window cost is not hidden
                                  // behind thread scheduling noise.

@@ -38,7 +38,8 @@ int main() {
   using namespace csecg;
   bench::print_header("fig11_power_breakdown",
                       "Fig. 11 — power breakdown vs sampling frequency, "
-                      "RMPI (m=240) and Hybrid (m=96)");
+                      "RMPI (m=240) and Hybrid (m=96)",
+                      0, 0);
   sweep("(a) RMPI", 240, 0);
   sweep("(b) Hybrid CS", 96, 7);
 

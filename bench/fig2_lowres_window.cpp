@@ -11,7 +11,8 @@ int main() {
   using namespace csecg;
   bench::print_header("fig2_lowres_window",
                       "Fig. 2 — example 7-bit low-resolution window and "
-                      "bound area");
+                      "bound area",
+                      1, 1);
 
   const auto& database = bench::shared_database();
   const ecg::EcgRecord& record = database.record(0);

@@ -11,14 +11,14 @@
 
 int main() {
   using namespace csecg;
-  bench::print_header("fig4_delta_pdf",
-                      "Fig. 4 — pdf of quantized-sample differences at "
-                      "10/8/6/4-bit resolution");
-
   const auto& database = bench::shared_database();
   const std::size_t records = bench::records_budget();
   const std::size_t windows = std::max<std::size_t>(bench::windows_budget(),
                                                     4);
+  bench::print_header("fig4_delta_pdf",
+                      "Fig. 4 — pdf of quantized-sample differences at "
+                      "10/8/6/4-bit resolution",
+                      records, windows);
 
   for (int bits : {10, 8, 6, 4}) {
     sensing::LowResConfig config;

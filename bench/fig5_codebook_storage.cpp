@@ -7,14 +7,14 @@
 
 int main() {
   using namespace csecg;
-  bench::print_header("fig5_codebook_storage",
-                      "Fig. 5 — Huffman codebook storage vs quantization "
-                      "depth");
-
   const auto& database = bench::shared_database();
   const std::size_t records = bench::records_budget();
   const std::size_t windows =
       std::max<std::size_t>(bench::windows_budget(), 4);
+  bench::print_header("fig5_codebook_storage",
+                      "Fig. 5 — Huffman codebook storage vs quantization "
+                      "depth",
+                      records, windows);
 
   std::printf("bits,codebook_entries,storage_bytes\n");
   for (int bits = 3; bits <= 10; ++bits) {

@@ -9,10 +9,6 @@
 
 int main() {
   using namespace csecg;
-  bench::print_header("fig6_lowres_cr",
-                      "Fig. 6 — average compression ratio of the "
-                      "low-resolution path vs bit resolution");
-
   const auto& database = bench::shared_database();
   const std::size_t train_records = bench::records_budget();
   const std::size_t windows =
@@ -20,6 +16,10 @@ int main() {
   // Held-out evaluation records (wrap around the database).
   const std::size_t eval_start = train_records;
   const std::size_t eval_count = std::min<std::size_t>(8, 48 - eval_start);
+  bench::print_header("fig6_lowres_cr",
+                      "Fig. 6 — average compression ratio of the "
+                      "low-resolution path vs bit resolution",
+                      train_records + eval_count, windows);
 
   std::printf("bits,compressed_fraction,bits_per_sample\n");
   for (int bits = 3; bits <= 10; ++bits) {

@@ -12,13 +12,13 @@
 
 int main() {
   using namespace csecg;
-  bench::print_header("fig7_snr_prd_vs_cr",
-                      "Fig. 7 — averaged SNR/PRD vs CR, Hybrid vs normal "
-                      "CS");
-
   const auto& database = bench::shared_database();
   const std::size_t records = bench::records_budget();
   const std::size_t windows = bench::windows_budget();
+  bench::print_header("fig7_snr_prd_vs_cr",
+                      "Fig. 7 — averaged SNR/PRD vs CR, Hybrid vs normal "
+                      "CS",
+                      records, windows);
 
   core::FrontEndConfig base;
   const auto lowres_codec = core::train_lowres_codec(base, database);

@@ -40,7 +40,8 @@ int main() {
   using namespace csecg;
   bench::print_header("fig8_boxplots",
                       "Fig. 8 — per-record SNR box plots vs CR, normal "
-                      "(top) and Hybrid (bottom)");
+                      "(top) and Hybrid (bottom)",
+                      bench::records_budget(), bench::windows_budget());
   core::FrontEndConfig base;
   const auto lowres_codec =
       core::train_lowres_codec(base, bench::shared_database());

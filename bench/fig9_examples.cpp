@@ -13,7 +13,8 @@ int main() {
   using namespace csecg;
   bench::print_header("fig9_examples",
                       "Fig. 9 — example reconstructions at delta = m/n of "
-                      "6/12/25%");
+                      "6/12/25%",
+                      1, 1);
 
   const auto& database = bench::shared_database();
   core::FrontEndConfig base;

@@ -47,14 +47,14 @@ std::size_t min_m(const core::FrontEndConfig& base, double target,
 }  // namespace
 
 int main() {
-  bench::print_header("headline_power_gain",
-                      "§VI — min-m search per SNR target and resulting "
-                      "power ratio (paper: 2.5x @20 dB, 11x @17 dB)");
-
   const auto& database = bench::shared_database();
   const std::size_t records = std::min<std::size_t>(bench::records_budget(),
                                                     6);
   const std::size_t windows = bench::windows_budget();
+  bench::print_header("headline_power_gain",
+                      "§VI — min-m search per SNR target and resulting "
+                      "power ratio (paper: 2.5x @20 dB, 11x @17 dB)",
+                      records, windows);
   core::FrontEndConfig base;
   const auto codec = core::train_lowres_codec(base, database);
 

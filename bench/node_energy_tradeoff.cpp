@@ -12,14 +12,14 @@
 
 int main() {
   using namespace csecg;
-  bench::print_header("node_energy_tradeoff",
-                      "whole-node energy per window, hybrid vs normal CS "
-                      "at matched SNR");
-
   const auto& database = bench::shared_database();
   const std::size_t records =
       std::min<std::size_t>(bench::records_budget(), 6);
   const std::size_t windows = bench::windows_budget();
+  bench::print_header("node_energy_tradeoff",
+                      "whole-node energy per window, hybrid vs normal CS "
+                      "at matched SNR",
+                      records, windows);
 
   power::TechnologyParams tech;
   power::NodeEnergyParams node;

@@ -85,17 +85,13 @@ int main(int argc, char** argv) {
 
     double radio_j = 0.0;
     double total_j = 0.0;
-    for (const auto& w : report.windows) total_j += w.energy_j;
-    {
-      // Re-price the radio share for the table.
-      for (const auto& w : report.windows) {
-        link::LinkSessionConfig pricing = link;
-        (void)pricing;
-        radio_j += static_cast<double>(w.stats.data_bits) *
-                       link.node.radio_nj_per_bit * 1e-9 +
-                   static_cast<double>(w.stats.feedback_bits) *
-                       link.node.radio_rx_nj_per_bit * 1e-9;
-      }
+    for (const double energy_j : report.energy_j) total_j += energy_j;
+    // Re-price the radio share for the table.
+    for (const link::LinkStats& stats : report.stats) {
+      radio_j += static_cast<double>(stats.data_bits) *
+                     link.node.radio_nj_per_bit * 1e-9 +
+                 static_cast<double>(stats.feedback_bits) *
+                     link.node.radio_rx_nj_per_bit * 1e-9;
     }
     const char* name = mode == link::ArqMode::kNone ? "none"
                        : mode == link::ArqMode::kStopAndWait

@@ -1,7 +1,5 @@
 #include "csecg/core/runner.hpp"
 
-#include <algorithm>
-
 #include "csecg/common/check.hpp"
 #include "csecg/metrics/quality.hpp"
 #include "csecg/metrics/stats.hpp"
@@ -25,127 +23,55 @@ const char* decode_mode_name(DecodeMode mode) {
   }
 }
 
-/// One quality-ledger JSONL row for a cleanly decoded window.  Every field
-/// is deterministic (no wall-clock times — those live in the trace and the
-/// histograms), which is what makes the ledger bit-identical across
-/// CSECG_THREADS settings.
-std::string ledger_row(const RecordReport& report, std::size_t w,
-                       std::uint64_t seq, const Decoder& decoder,
-                       DecodeMode mode, bool outlier) {
-  const WindowMetrics& m = report.windows[w];
-  const std::size_t measurements = decoder.config().measurements;
-  std::string row;
-  row.reserve(320);
-  row += "{\"kind\":\"window\",\"record\":";
-  obs::append_json_string(row, report.record_name);
-  row += ",\"seq\":";
-  obs::append_json_u64(row, seq);
-  row += ",\"window\":";
-  obs::append_json_u64(row, static_cast<std::uint64_t>(w));
-  row += ",\"m\":";
-  obs::append_json_u64(row, static_cast<std::uint64_t>(measurements));
-  row += ",\"sigma\":";
-  obs::append_json_double(row, decoder.sigma(measurements));
-  row += ",\"solver\":\"pdhg\",\"decode_mode\":\"";
-  row += decode_mode_name(mode);
-  row += "\",\"iterations\":";
-  obs::append_json_u64(row, static_cast<std::uint64_t>(
-                                m.iterations < 0 ? 0 : m.iterations));
-  row += ",\"converged\":";
-  obs::append_json_bool(row, m.converged);
-  row += ",\"exit\":\"";
-  row += recovery::exit_name(m.exit);
-  row += '"';
-  row += ",\"ball_violation\":";
-  obs::append_json_double(row, m.ball_violation);
-  row += ",\"prd\":";
-  obs::append_json_double(row, m.prd);
-  row += ",\"snr\":";
-  obs::append_json_double(row, m.snr);
-  row += ",\"prd_raw\":";
-  obs::append_json_double(row, m.prd_raw);
-  row += ",\"snr_raw\":";
-  obs::append_json_double(row, m.snr_raw);
-  row += ",\"cs_bits\":";
-  obs::append_json_u64(row, static_cast<std::uint64_t>(m.cs_bits));
-  row += ",\"lowres_bits\":";
-  obs::append_json_u64(row, static_cast<std::uint64_t>(m.lowres_bits));
-  row += ",\"outlier\":";
-  obs::append_json_bool(row, outlier);
-  row += '}';
-  return row;
-}
-
 }  // namespace
 
-RecordReport run_record(const Codec& codec, const ecg::EcgRecord& record,
-                        std::size_t window_count, DecodeMode mode,
-                        parallel::ThreadPool& pool) {
-  CSECG_CHECK(window_count > 0, "run_record: window_count must be positive");
-  const FrontEndConfig& config = codec.config();
+RecordQuality run_windows(const ecg::EcgRecord& record,
+                          std::size_t window_length, std::size_t window_count,
+                          const WindowStep& step, parallel::ThreadPool& pool) {
   const auto windows =
-      ecg::extract_windows(record, config.window, window_count);
+      ecg::extract_windows(record, window_length, window_count);
 
-  RecordReport report;
+  RecordQuality report;
   report.record_name = record.name;
-  report.cs_cr_percent = config.cs_compression_ratio();
 
-  // Each window encodes/decodes independently into its pre-sized slot;
-  // the aggregation below then runs in window order, so the report is
+  // Each window decodes independently into its pre-sized slot; the
+  // reduction below then runs in window order, so the report is
   // bit-identical whatever the pool size.
   report.windows.resize(windows.size());
   pool.parallel_for(0, windows.size(), [&](std::size_t w) {
     obs::TraceScope window_trace("runner.window", "runner", "window",
                                  static_cast<std::uint64_t>(w));
-    const linalg::Vector& window = windows[w];
-    const bool timed = obs::enabled();
-    const std::uint64_t t0 = timed ? obs::monotonic_ns() : 0;
-    const Frame frame = codec.encoder().encode(window);
-    const std::uint64_t t1 = timed ? obs::monotonic_ns() : 0;
-    const DecodeResult decoded = codec.decoder().decode(frame, mode);
-    const std::uint64_t t2 = timed ? obs::monotonic_ns() : 0;
-
     WindowMetrics m;
-    m.prd = metrics::prd_zero_mean(window, decoded.x);
+    const linalg::Vector x = step(w, windows[w], m);
+    m.prd = metrics::prd_zero_mean(windows[w], x);
     m.snr = metrics::snr_from_prd(m.prd);
-    m.prd_raw = metrics::prd(window, decoded.x);
+    m.prd_raw = metrics::prd(windows[w], x);
     m.snr_raw = metrics::snr_from_prd(m.prd_raw);
-    m.cs_bits = frame.cs_bits();
-    m.lowres_bits = frame.lowres_bits;
-    m.converged = decoded.solver.converged;
-    m.exit = decoded.solver.exit;
-    m.iterations = decoded.solver.iterations;
-    m.ball_violation = decoded.solver.ball_violation;
-    m.encode_ns = t1 - t0;
-    m.decode_ns = t2 - t1;
     report.windows[w] = m;
   });
 
   double prd_sum = 0.0;
   double snr_sum = 0.0;
-  double lowres_bits_sum = 0.0;
-  std::uint64_t encode_ns_sum = 0;
-  std::uint64_t decode_ns_sum = 0;
+  std::vector<double> snrs;
+  snrs.reserve(report.windows.size());
   for (const auto& m : report.windows) {
     prd_sum += m.prd;
     snr_sum += m.snr;
-    lowres_bits_sum += static_cast<double>(m.lowres_bits);
-    if (m.converged) {
-      ++report.converged_windows;
-    } else {
-      ++report.non_converged_windows;
-    }
-    report.total_solver_iterations +=
-        static_cast<std::uint64_t>(m.iterations);
-    report.max_solver_iterations =
-        std::max(report.max_solver_iterations, m.iterations);
-    report.max_ball_violation =
-        std::max(report.max_ball_violation, m.ball_violation);
-    encode_ns_sum += m.encode_ns;
-    decode_ns_sum += m.decode_ns;
+    snrs.push_back(m.snr);
+    if (!m.solved) continue;  // Low-res staircase: no solver ran.
+    ++report.solved_windows;
+    ++(m.converged ? report.converged_windows : report.non_converged_windows);
   }
-  report.encode_seconds = static_cast<double>(encode_ns_sum) * 1e-9;
-  report.decode_seconds = static_cast<double>(decode_ns_sum) * 1e-9;
+  const auto count = static_cast<double>(report.windows.size());
+  report.mean_prd = prd_sum / count;
+  report.mean_snr = snr_sum / count;
+
+  // Robust per-record quality fence: a window is an outlier when its SNR
+  // drops below median − 3.5·1.4826·MAD over this record.  The fence and
+  // flags depend only on the (deterministic) per-window metrics, so the
+  // report is thread-count-invariant.
+  report.outlier_snr_threshold_db = metrics::mad_low_threshold(snrs);
+  report.outlier_windows = metrics::mad_low_outliers(snrs);
 
   static obs::Counter& runner_windows = obs::counter("runner.windows");
   static obs::Counter& runner_non_converged =
@@ -154,30 +80,41 @@ RecordReport run_record(const Codec& codec, const ecg::EcgRecord& record,
   runner_windows.add(report.windows.size());
   runner_non_converged.add(report.non_converged_windows);
   runner_records.add();
+  return report;
+}
 
-  const auto count = static_cast<double>(report.windows.size());
-  report.mean_prd = prd_sum / count;
-  report.mean_snr = snr_sum / count;
+RecordReport run_record(const Codec& codec, const ecg::EcgRecord& record,
+                        std::size_t window_count, DecodeMode mode,
+                        parallel::ThreadPool& pool) {
+  const FrontEndConfig& config = codec.config();
+  RecordReport report;
+  static_cast<RecordQuality&>(report) = run_windows(
+      record, config.window, window_count,
+      [&](std::size_t, const linalg::Vector& window, WindowMetrics& m) {
+        const Frame frame = codec.encoder().encode(window);
+        DecodeResult decoded = codec.decoder().decode(frame, mode);
+        m.cs_bits = frame.cs_bits();
+        m.lowres_bits = frame.lowres_bits;
+        m.m_eff = config.measurements;
+        m.record_solve(decoded.solver);
+        return std::move(decoded.x);
+      },
+      pool);
+
+  double lowres_bits_sum = 0.0;
+  for (const auto& m : report.windows) {
+    lowres_bits_sum += static_cast<double>(m.lowres_bits);
+  }
   const double original_bits_per_window =
       static_cast<double>(config.window) *
       static_cast<double>(config.original_bits);
-  report.overhead_percent =
-      lowres_bits_sum / count / original_bits_per_window * 100.0;
+  report.cs_cr_percent = config.cs_compression_ratio();
+  report.overhead_percent = lowres_bits_sum /
+                            static_cast<double>(report.windows.size()) /
+                            original_bits_per_window * 100.0;
   report.net_cr_percent =
       metrics::net_compression_ratio(report.cs_cr_percent,
                                      report.overhead_percent);
-
-  // Robust per-record quality fence: a window is an outlier when its SNR
-  // drops below median − 3.5·1.4826·MAD over this record.  The fence and
-  // flags depend only on the (deterministic) per-window metrics, so the
-  // report is thread-count-invariant.
-  std::vector<double> snrs(report.windows.size());
-  for (std::size_t w = 0; w < report.windows.size(); ++w) {
-    snrs[w] = report.windows[w].snr;
-  }
-  report.outlier_snr_threshold_db = metrics::mad_low_threshold(snrs);
-  report.outlier_windows = metrics::mad_low_outliers(snrs);
-
   return report;
 }
 
@@ -199,12 +136,10 @@ std::vector<RecordReport> run_database(const Codec& codec,
   // run_record detects it is already on a pool thread and runs inline.
   // Per-record slots keep the report order (and values) identical to the
   // serial run.
-  std::vector<RecordReport> reports(record_count);
-  pool.parallel_for(0, record_count, [&](std::size_t r) {
-    reports[r] =
-        run_record(codec, database.record(r), windows_per_record, mode, pool);
+  return pool.parallel_map<RecordReport>(record_count, [&](std::size_t r) {
+    return run_record(codec, database.record(r), windows_per_record, mode,
+                      pool);
   });
-  return reports;
 }
 
 std::vector<RecordReport> run_database(const Codec& codec,
@@ -216,19 +151,77 @@ std::vector<RecordReport> run_database(const Codec& codec,
                       mode, parallel::global_pool());
 }
 
+void append_ledger_rows(std::string& out, std::uint64_t& seq,
+                        const RecordQuality& report, const Decoder& decoder,
+                        const LedgerFormat& format, const LedgerTail& tail) {
+  std::size_t next_outlier = 0;
+  for (std::size_t w = 0; w < report.windows.size(); ++w, ++seq) {
+    const WindowMetrics& m = report.windows[w];
+    const bool outlier = next_outlier < report.outlier_windows.size() &&
+                         report.outlier_windows[next_outlier] == w;
+    if (outlier) ++next_outlier;
+    std::string row;
+    row.reserve(420);
+    row += "{\"kind\":\"";
+    row += format.kind;
+    row += "\",\"record\":";
+    obs::append_json_string(row, report.record_name);
+    row += ",\"seq\":";
+    obs::append_json_u64(row, seq);
+    row += ",\"window\":";
+    obs::append_json_u64(row, static_cast<std::uint64_t>(w));
+    row += ",\"m\":";
+    obs::append_json_u64(
+        row, static_cast<std::uint64_t>(decoder.config().measurements));
+    if (format.m_eff) {
+      row += ",\"m_eff\":";
+      obs::append_json_u64(row, static_cast<std::uint64_t>(m.m_eff));
+    }
+    row += ",\"sigma\":";
+    obs::append_json_double(row, m.solved ? decoder.sigma(m.m_eff) : 0.0);
+    row += ",\"solver\":\"pdhg\",\"decode_mode\":\"";
+    row += m.solved ? format.decode_mode : "lowres_only";
+    row += "\",\"iterations\":";
+    obs::append_json_u64(row, static_cast<std::uint64_t>(
+                                  m.iterations < 0 ? 0 : m.iterations));
+    row += ",\"converged\":";
+    obs::append_json_bool(row, m.converged);
+    row += ",\"exit\":\"";
+    row += m.solved ? recovery::exit_name(m.exit) : "none";
+    row += "\",\"ball_violation\":";
+    obs::append_json_double(row, m.ball_violation);
+    row += ",\"prd\":";
+    obs::append_json_double(row, m.prd);
+    row += ",\"snr\":";
+    obs::append_json_double(row, m.snr);
+    tail(row, w);
+    row += ",\"outlier\":";
+    obs::append_json_bool(row, outlier);
+    row += "}\n";
+    out += row;
+  }
+}
+
 std::string to_jsonl(const std::vector<RecordReport>& reports,
                      const Decoder& decoder, DecodeMode mode) {
   std::string out;
   std::uint64_t seq = 0;
   for (const RecordReport& report : reports) {
-    std::size_t next_outlier = 0;
-    for (std::size_t w = 0; w < report.windows.size(); ++w, ++seq) {
-      const bool outlier = next_outlier < report.outlier_windows.size() &&
-                           report.outlier_windows[next_outlier] == w;
-      if (outlier) ++next_outlier;
-      out += ledger_row(report, w, seq, decoder, mode, outlier);
-      out += '\n';
-    }
+    append_ledger_rows(
+        out, seq, report, decoder,
+        {.kind = "window", .decode_mode = decode_mode_name(mode)},
+        [&report](std::string& row, std::size_t w) {
+          const WindowMetrics& m = report.windows[w];
+          row += ",\"prd_raw\":";
+          obs::append_json_double(row, m.prd_raw);
+          row += ",\"snr_raw\":";
+          obs::append_json_double(row, m.snr_raw);
+          row += ",\"cs_bits\":";
+          obs::append_json_u64(row, static_cast<std::uint64_t>(m.cs_bits));
+          row += ",\"lowres_bits\":";
+          obs::append_json_u64(row,
+                               static_cast<std::uint64_t>(m.lowres_bits));
+        });
   }
   return out;
 }

@@ -31,7 +31,4 @@ class Cholesky {
 /// Solves L·x = b with L lower triangular (forward substitution).
 Vector solve_lower(const Matrix& l, const Vector& b);
 
-/// Solves U·x = b with U upper triangular (back substitution).
-Vector solve_upper(const Matrix& u, const Vector& b);
-
 }  // namespace csecg::linalg

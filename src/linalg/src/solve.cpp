@@ -59,18 +59,4 @@ Vector solve_lower(const Matrix& l, const Vector& b) {
   return x;
 }
 
-Vector solve_upper(const Matrix& u, const Vector& b) {
-  CSECG_CHECK(u.rows() == u.cols(), "solve_upper requires square matrix");
-  CSECG_CHECK(b.size() == u.rows(), "solve_upper dimension mismatch");
-  const std::size_t n = u.rows();
-  Vector x(n);
-  for (std::size_t ii = n; ii-- > 0;) {
-    double acc = b[ii];
-    for (std::size_t j = ii + 1; j < n; ++j) acc -= u(ii, j) * x[j];
-    CSECG_CHECK(u(ii, ii) != 0.0, "solve_upper: zero diagonal at " << ii);
-    x[ii] = acc / u(ii, ii);
-  }
-  return x;
-}
-
 }  // namespace csecg::linalg

@@ -19,6 +19,7 @@
 #include "csecg/coding/delta_huffman_codec.hpp"
 #include "csecg/core/config.hpp"
 #include "csecg/core/frontend.hpp"
+#include "csecg/core/runner.hpp"
 #include "csecg/ecg/record.hpp"
 #include "csecg/link/arq.hpp"
 #include "csecg/link/channel.hpp"
@@ -85,57 +86,22 @@ class LinkSession {
   Reassembler reassembler_;
 };
 
-/// Per-window link experiment metrics (quality + link accounting).
-struct LinkWindowMetrics {
-  double prd = 0.0;  ///< Zero-mean PRD (%) against the raw window.
-  double snr = 0.0;  ///< −20·log10(PRD/100) in dB.
-  LinkStats stats;
-  double energy_j = 0.0;  ///< Whole-node energy for the window.
-  bool lowres_only = false;
-  bool converged = false;
-  /// Why the solve stopped (meaningless on low-res-only windows, whose
-  /// ledger rows say "none").
-  recovery::PdhgExit exit = recovery::PdhgExit::kCapChange;
-  int iterations = 0;             ///< Solver iterations (0 on low-res-only).
-  double ball_violation = 0.0;    ///< Residual excess at solver exit.
-  std::uint64_t window_ns = 0;    ///< encode→decode wall time (0 if obs off).
-};
-
-/// Aggregate over one record crossing the link.
-///
-/// The convergence block mirrors core::RecordReport: `solved_windows`
-/// excludes the low-res-only fallbacks (no solver ran there), so
-/// converged + non_converged == solved_windows always holds.
-struct LinkRecordReport {
-  std::string record_name;
-  std::vector<LinkWindowMetrics> windows;
-  double mean_prd = 0.0;
-  double mean_snr = 0.0;
+/// A record that crossed the link: the shared quality record plus, beside
+/// each window, what the link spent on it, and the link aggregates.
+struct LinkRecordReport : core::RecordQuality {
+  std::vector<LinkStats> stats;  ///< Per window, parallel to `windows`.
+  std::vector<double> energy_j;  ///< Whole-node energy per window.
   double delivery_rate = 1.0;   ///< Unique packets delivered / sent.
   double mean_energy_j = 0.0;
   std::size_t retransmissions = 0;
-  std::size_t lowres_only_windows = 0;
-  // --- Solver convergence (ISSUE 3) ---------------------------------------
-  std::size_t solved_windows = 0;         ///< Windows where a solve ran.
-  std::size_t converged_windows = 0;
-  std::size_t non_converged_windows = 0;  ///< Hit the iteration cap.
-  std::uint64_t total_solver_iterations = 0;
-  double max_ball_violation = 0.0;
-  // --- Wall time across the whole link pipeline (0 when obs disabled) -----
-  double window_seconds = 0.0;
-  // --- Quality-outlier flagging (ISSUE 4) ----------------------------------
-  /// Windows whose SNR fell below the robust MAD fence over this record
-  /// (median − 3.5·1.4826·MAD) — typically the ones the channel hurt most.
-  std::vector<std::size_t> outlier_windows;
-  /// The SNR fence (dB) the flags above were cut at.
-  double outlier_snr_threshold_db = 0.0;
+  std::size_t lowres_only_windows = 0;  ///< Windows where no solve ran.
 };
 
-/// Streams `window_count` windows of one record through the session,
-/// decoding windows concurrently on the pool.  `base_sequence` offsets the
-/// windows' global sequence numbers so different records draw disjoint
-/// channel substreams.  Pre-sized slots + ordered reduction keep the
-/// report bit-identical for any thread count.
+/// Streams `window_count` windows of one record through the session: the
+/// shared core::run_windows loop with a transmit_window step, so windows
+/// decode concurrently on the pool and the report is bit-identical for any
+/// thread count.  `base_sequence` offsets the windows' global sequence
+/// numbers so different records draw disjoint channel substreams.
 LinkRecordReport run_link_record(const LinkSession& session,
                                  const ecg::EcgRecord& record,
                                  std::size_t window_count,
@@ -163,7 +129,9 @@ std::vector<LinkRecordReport> run_link_database(
 
 /// The per-window quality ledger of `reports`, streamed through `session`:
 /// one JSONL row per window, newline-terminated, in report order, with
-/// `seq` the window's position across all `reports` (see core::to_jsonl).
+/// `seq` the window's position across all `reports`.  Rows are
+/// core::append_ledger_rows' shared prefix (kind "link_window", with
+/// m_eff) and a tail of the window's LinkStats and energy_j.
 std::string to_jsonl(const std::vector<LinkRecordReport>& reports,
                      const LinkSession& session);
 

@@ -1,11 +1,8 @@
 #include "csecg/link/session.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #include "csecg/common/check.hpp"
-#include "csecg/metrics/quality.hpp"
-#include "csecg/metrics/stats.hpp"
 #include "csecg/obs/json.hpp"
 #include "csecg/obs/registry.hpp"
 #include "csecg/obs/span.hpp"
@@ -57,73 +54,6 @@ power::NodeEnergy price_window(const core::FrontEndConfig& config,
   return power::link_window_energy(cs_path, link.tech, link.node,
                                    stats.data_bits, stats.feedback_bits,
                                    window_seconds);
-}
-
-/// One quality-ledger JSONL row for a window that crossed the link.  Only
-/// deterministic fields (the channel substream is seeded per sequence, so
-/// loss accounting is deterministic too); wall-clock timing stays in the
-/// trace and histograms.
-std::string link_ledger_row(const LinkRecordReport& report, std::size_t w,
-                            std::uint64_t seq, const core::Decoder& decoder,
-                            bool outlier) {
-  const LinkWindowMetrics& m = report.windows[w];
-  const double sigma_eff =
-      m.lowres_only ? 0.0 : decoder.sigma(m.stats.effective_m);
-  std::string row;
-  row.reserve(420);
-  row += "{\"kind\":\"link_window\",\"record\":";
-  obs::append_json_string(row, report.record_name);
-  row += ",\"seq\":";
-  obs::append_json_u64(row, seq);
-  row += ",\"window\":";
-  obs::append_json_u64(row, static_cast<std::uint64_t>(w));
-  row += ",\"m\":";
-  obs::append_json_u64(
-      row, static_cast<std::uint64_t>(decoder.config().measurements));
-  row += ",\"m_eff\":";
-  obs::append_json_u64(row, static_cast<std::uint64_t>(m.stats.effective_m));
-  row += ",\"sigma\":";
-  obs::append_json_double(row, sigma_eff);
-  row += ",\"solver\":\"pdhg\",\"decode_mode\":\"";
-  row += m.lowres_only ? "lowres_only" : "lossy";
-  row += "\",\"iterations\":";
-  obs::append_json_u64(row, static_cast<std::uint64_t>(
-                                m.iterations < 0 ? 0 : m.iterations));
-  row += ",\"converged\":";
-  obs::append_json_bool(row, m.converged);
-  row += ",\"exit\":\"";
-  row += m.lowres_only ? "none" : recovery::exit_name(m.exit);
-  row += '"';
-  row += ",\"ball_violation\":";
-  obs::append_json_double(row, m.ball_violation);
-  row += ",\"prd\":";
-  obs::append_json_double(row, m.prd);
-  row += ",\"snr\":";
-  obs::append_json_double(row, m.snr);
-  row += ",\"packets\":";
-  obs::append_json_u64(row, static_cast<std::uint64_t>(m.stats.packets));
-  row += ",\"delivered\":";
-  obs::append_json_u64(row, static_cast<std::uint64_t>(m.stats.delivered));
-  row += ",\"dropped\":";
-  obs::append_json_u64(row, static_cast<std::uint64_t>(m.stats.dropped));
-  row += ",\"retransmissions\":";
-  obs::append_json_u64(row,
-                       static_cast<std::uint64_t>(m.stats.retransmissions));
-  row += ",\"crc_failures\":";
-  obs::append_json_u64(row, static_cast<std::uint64_t>(m.stats.crc_failures));
-  row += ",\"data_bits\":";
-  obs::append_json_u64(row, static_cast<std::uint64_t>(m.stats.data_bits));
-  row += ",\"feedback_bits\":";
-  obs::append_json_u64(row, static_cast<std::uint64_t>(m.stats.feedback_bits));
-  row += ",\"boxed_samples\":";
-  obs::append_json_u64(row,
-                       static_cast<std::uint64_t>(m.stats.boxed_samples));
-  row += ",\"energy_j\":";
-  obs::append_json_double(row, m.energy_j);
-  row += ",\"outlier\":";
-  obs::append_json_bool(row, outlier);
-  row += '}';
-  return row;
 }
 
 }  // namespace
@@ -207,87 +137,39 @@ LinkRecordReport run_link_record(const LinkSession& session,
                                  std::size_t window_count,
                                  std::uint32_t base_sequence,
                                  parallel::ThreadPool& pool) {
-  CSECG_CHECK(window_count > 0,
-              "run_link_record: window_count must be positive");
-  const core::FrontEndConfig& config = session.config();
-  const auto windows =
-      ecg::extract_windows(record, config.window, window_count);
-
   LinkRecordReport report;
-  report.record_name = record.name;
+  report.stats.resize(window_count);
+  report.energy_j.resize(window_count);
+  // Per-window channel substreams keep the loss pattern, and hence the
+  // report, identical for any pool size.
+  static_cast<core::RecordQuality&>(report) = core::run_windows(
+      record, session.config().window, window_count,
+      [&](std::size_t w, const linalg::Vector& window,
+          core::WindowMetrics& m) {
+        WindowResult result = session.transmit_window(
+            window, base_sequence + static_cast<std::uint32_t>(w));
+        if (!result.decoded.lowres_only) m.record_solve(result.decoded.solver);
+        m.m_eff = result.decoded.effective_m;
+        report.stats[w] = result.stats;
+        report.energy_j[w] = result.energy.total();
+        return std::move(result.decoded.x);
+      },
+      pool);
 
-  // Pre-sized slots + per-window channel substreams: the loss pattern and
-  // hence the report are identical for any pool size (see run_record).
-  report.windows.resize(windows.size());
-  pool.parallel_for(0, windows.size(), [&](std::size_t w) {
-    const bool timed = obs::enabled();
-    const std::uint64_t t0 = timed ? obs::monotonic_ns() : 0;
-    const WindowResult result = session.transmit_window(
-        windows[w], base_sequence + static_cast<std::uint32_t>(w));
-    const std::uint64_t t1 = timed ? obs::monotonic_ns() : 0;
-
-    LinkWindowMetrics m;
-    m.prd = metrics::prd_zero_mean(windows[w], result.decoded.x);
-    m.snr = metrics::snr_from_prd(m.prd);
-    m.stats = result.stats;
-    m.energy_j = result.energy.total();
-    m.lowres_only = result.decoded.lowres_only;
-    m.converged = result.decoded.solver.converged;
-    m.exit = result.decoded.solver.exit;
-    m.iterations = result.decoded.solver.iterations;
-    m.ball_violation = result.decoded.solver.ball_violation;
-    m.window_ns = t1 - t0;
-    report.windows[w] = m;
-  });
-
-  double prd_sum = 0.0;
-  double snr_sum = 0.0;
   double energy_sum = 0.0;
-  std::uint64_t window_ns_sum = 0;
   std::size_t sent = 0;
   std::size_t delivered = 0;
-  for (const auto& m : report.windows) {
-    prd_sum += m.prd;
-    snr_sum += m.snr;
-    energy_sum += m.energy_j;
-    sent += m.stats.packets;
-    delivered += m.stats.delivered;
-    report.retransmissions += m.stats.retransmissions;
-    window_ns_sum += m.window_ns;
-    if (m.lowres_only) {
-      // No solver ran: the decoder emitted the low-res staircase.
-      ++report.lowres_only_windows;
-    } else {
-      ++report.solved_windows;
-      if (m.converged) {
-        ++report.converged_windows;
-      } else {
-        ++report.non_converged_windows;
-      }
-      report.total_solver_iterations +=
-          static_cast<std::uint64_t>(m.iterations);
-      report.max_ball_violation =
-          std::max(report.max_ball_violation, m.ball_violation);
-    }
+  for (std::size_t w = 0; w < window_count; ++w) {
+    energy_sum += report.energy_j[w];
+    sent += report.stats[w].packets;
+    delivered += report.stats[w].delivered;
+    report.retransmissions += report.stats[w].retransmissions;
   }
-  const auto count = static_cast<double>(report.windows.size());
-  report.mean_prd = prd_sum / count;
-  report.mean_snr = snr_sum / count;
-  report.mean_energy_j = energy_sum / count;
-  report.window_seconds = static_cast<double>(window_ns_sum) * 1e-9;
+  report.mean_energy_j = energy_sum / static_cast<double>(window_count);
   report.delivery_rate =
       sent == 0 ? 1.0
                 : static_cast<double>(delivered) / static_cast<double>(sent);
-
-  // Same robust fence as core::run_record; on a lossy link the flagged
-  // windows are usually the ones whose CS train took the worst losses.
-  std::vector<double> snrs(report.windows.size());
-  for (std::size_t w = 0; w < report.windows.size(); ++w) {
-    snrs[w] = report.windows[w].snr;
-  }
-  report.outlier_snr_threshold_db = metrics::mad_low_threshold(snrs);
-  report.outlier_windows = metrics::mad_low_outliers(snrs);
-
+  report.lowres_only_windows = window_count - report.solved_windows;
   return report;
 }
 
@@ -305,13 +187,12 @@ std::vector<LinkRecordReport> run_link_database(
     parallel::ThreadPool& pool) {
   CSECG_CHECK(record_count > 0 && record_count <= database.size(),
               "run_link_database: record_count out of range");
-  std::vector<LinkRecordReport> reports(record_count);
-  pool.parallel_for(0, record_count, [&](std::size_t r) {
-    const auto base = static_cast<std::uint32_t>(r * windows_per_record);
-    reports[r] = run_link_record(session, database.record(r),
-                                 windows_per_record, base, pool);
-  });
-  return reports;
+  return pool.parallel_map<LinkRecordReport>(
+      record_count, [&](std::size_t r) {
+        const auto base = static_cast<std::uint32_t>(r * windows_per_record);
+        return run_link_record(session, database.record(r),
+                               windows_per_record, base, pool);
+      });
 }
 
 std::vector<LinkRecordReport> run_link_database(
@@ -326,14 +207,34 @@ std::string to_jsonl(const std::vector<LinkRecordReport>& reports,
   std::string out;
   std::uint64_t seq = 0;
   for (const LinkRecordReport& report : reports) {
-    std::size_t next_outlier = 0;
-    for (std::size_t w = 0; w < report.windows.size(); ++w, ++seq) {
-      const bool outlier = next_outlier < report.outlier_windows.size() &&
-                           report.outlier_windows[next_outlier] == w;
-      if (outlier) ++next_outlier;
-      out += link_ledger_row(report, w, seq, session.decoder(), outlier);
-      out += '\n';
-    }
+    core::append_ledger_rows(
+        out, seq, report, session.decoder(),
+        {.kind = "link_window", .decode_mode = "lossy", .m_eff = true},
+        [&report](std::string& row, std::size_t w) {
+          const LinkStats& s = report.stats[w];
+          row += ",\"packets\":";
+          obs::append_json_u64(row, static_cast<std::uint64_t>(s.packets));
+          row += ",\"delivered\":";
+          obs::append_json_u64(row, static_cast<std::uint64_t>(s.delivered));
+          row += ",\"dropped\":";
+          obs::append_json_u64(row, static_cast<std::uint64_t>(s.dropped));
+          row += ",\"retransmissions\":";
+          obs::append_json_u64(row,
+                               static_cast<std::uint64_t>(s.retransmissions));
+          row += ",\"crc_failures\":";
+          obs::append_json_u64(row,
+                               static_cast<std::uint64_t>(s.crc_failures));
+          row += ",\"data_bits\":";
+          obs::append_json_u64(row, static_cast<std::uint64_t>(s.data_bits));
+          row += ",\"feedback_bits\":";
+          obs::append_json_u64(row,
+                               static_cast<std::uint64_t>(s.feedback_bits));
+          row += ",\"boxed_samples\":";
+          obs::append_json_u64(row,
+                               static_cast<std::uint64_t>(s.boxed_samples));
+          row += ",\"energy_j\":";
+          obs::append_json_double(row, report.energy_j[w]);
+        });
   }
   return out;
 }

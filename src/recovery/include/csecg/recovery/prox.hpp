@@ -1,25 +1,10 @@
-// Proximal operators and projections used by the first-order solvers.
+// Proximal operators used by the first-order solvers.
 #pragma once
-
-#include "csecg/linalg/vector.hpp"
 
 namespace csecg::recovery {
 
-/// Scalar soft-thresholding: sign(v)·max(|v| − threshold, 0).
+/// Scalar soft-thresholding: sign(v)·max(|v| − threshold, 0), the prox of
+/// threshold·|·| that PDHG and FISTA apply coefficient by coefficient.
 double soft_threshold(double value, double threshold) noexcept;
-
-/// Element-wise soft-thresholding (prox of threshold·‖·‖₁).
-linalg::Vector soft_threshold(const linalg::Vector& v, double threshold);
-
-/// Projection onto the ℓ2 ball of given radius centered at `center`:
-/// argmin_{‖z−center‖≤radius} ‖z−v‖.  radius must be ≥ 0.
-linalg::Vector project_l2_ball(const linalg::Vector& v,
-                               const linalg::Vector& center, double radius);
-
-/// Projection onto the box [lower, upper] element-wise.  Dimensions must
-/// match and lower ≤ upper element-wise (validated).
-linalg::Vector project_box(const linalg::Vector& v,
-                           const linalg::Vector& lower,
-                           const linalg::Vector& upper);
 
 }  // namespace csecg::recovery

@@ -147,7 +147,7 @@ PdhgResult solve_bpdn(const linalg::LinearOperator& phi,
         w_m[i] = w_m[i] * sigma_ball + q1[i];
       }
       for (std::size_t i = 0; i < m; ++i) scaled_m[i] = w_m[i] / sigma_ball;
-      // project_l2_ball(scaled_m, y, sigma), in place.
+      // Projection of scaled_m onto the σ-ball around y, in place.
       for (std::size_t i = 0; i < m; ++i) diff_m[i] = scaled_m[i] - y[i];
       const double dist = linalg::norm2(diff_m);
       if (dist <= sigma) {

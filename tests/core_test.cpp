@@ -4,6 +4,8 @@
 // experiment runner.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <stdexcept>
 
 #include "csecg/core/config.hpp"
@@ -306,29 +308,32 @@ TEST_F(FrontEndTest, ReportCountsNonConvergedWindowsInsteadOfAveraging) {
             report.windows.size());
   EXPECT_EQ(report.non_converged_windows, report.windows.size());
   EXPECT_EQ(report.converged_windows, 0u);
-  // Each window burned the full budget, and the totals reflect that.
-  EXPECT_EQ(report.max_solver_iterations, 3);
-  EXPECT_EQ(report.total_solver_iterations, 3u * 3u);
-  EXPECT_GT(report.max_ball_violation, 0.0);
+  EXPECT_EQ(report.solved_windows, report.windows.size());
+  // Each window burned the full budget and left the ball unreached.
+  int max_iterations = 0;
+  std::uint64_t total_iterations = 0;
+  double max_ball_violation = 0.0;
   for (const auto& w : report.windows) {
+    EXPECT_TRUE(w.solved);
     EXPECT_FALSE(w.converged);
     EXPECT_EQ(w.iterations, 3);
+    max_iterations = std::max(max_iterations, w.iterations);
+    total_iterations += static_cast<std::uint64_t>(w.iterations);
+    max_ball_violation = std::max(max_ball_violation, w.ball_violation);
   }
+  EXPECT_EQ(max_iterations, 3);
+  EXPECT_EQ(total_iterations, 3u * 3u);
+  EXPECT_GT(max_ball_violation, 0.0);
 }
 
-TEST_F(FrontEndTest, ReportCarriesConvergenceAndStageTimings) {
+TEST_F(FrontEndTest, ReportCarriesConvergence) {
   const Codec codec(config(), lowres_codec());
   const RecordReport report = run_record(codec, database().record(0), 2);
   EXPECT_EQ(report.converged_windows + report.non_converged_windows,
             report.windows.size());
-  EXPECT_GT(report.total_solver_iterations, 0u);
-  EXPECT_GT(report.max_solver_iterations, 0);
-  // obs is enabled by default, so the per-stage wall clocks are populated.
-  EXPECT_GT(report.encode_seconds, 0.0);
-  EXPECT_GT(report.decode_seconds, 0.0);
   for (const auto& w : report.windows) {
-    EXPECT_GT(w.encode_ns, 0u);
-    EXPECT_GT(w.decode_ns, 0u);
+    EXPECT_GT(w.iterations, 0);
+    EXPECT_EQ(w.m_eff, config().measurements);
   }
 }
 

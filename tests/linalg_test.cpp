@@ -308,16 +308,12 @@ TEST(TriangularSolvers, RoundTrip) {
   EXPECT_EQ(solve_lower(l, multiply(l, x_true)).size(), 3u);
   const Vector x = solve_lower(l, multiply(l, x_true));
   for (std::size_t i = 0; i < 3; ++i) EXPECT_NEAR(x[i], x_true[i], 1e-12);
-  const Matrix u = transpose(l);
-  const Vector xu = solve_upper(u, multiply(u, x_true));
-  for (std::size_t i = 0; i < 3; ++i) EXPECT_NEAR(xu[i], x_true[i], 1e-12);
 }
 
 TEST(TriangularSolvers, ZeroDiagonalThrows) {
   Matrix l = Matrix::identity(2);
   l(1, 1) = 0.0;
   EXPECT_THROW(solve_lower(l, Vector(2)), std::invalid_argument);
-  EXPECT_THROW(solve_upper(l, Vector(2)), std::invalid_argument);
 }
 
 TEST(LinearOperator, FromMatrixMatchesDense) {

@@ -9,6 +9,7 @@
 #include <numeric>
 
 #include "csecg/core/frontend.hpp"
+#include "csecg/core/runner.hpp"
 #include "csecg/dsp/dwt.hpp"
 #include "csecg/ecg/record.hpp"
 #include "csecg/link/arq.hpp"
@@ -660,9 +661,9 @@ TEST_F(LinkTest, RunLinkRecordIsThreadDeterministic) {
   ASSERT_EQ(a.windows.size(), b.windows.size());
   // At least one window lost part of its CS train: the masked solve ran.
   const std::size_t m = config().measurements;
-  EXPECT_TRUE(std::any_of(a.windows.begin(), a.windows.end(),
-                          [m](const LinkWindowMetrics& w) {
-                            const std::size_t kept = w.stats.effective_m;
+  EXPECT_TRUE(std::any_of(a.stats.begin(), a.stats.end(),
+                          [m](const LinkStats& stats) {
+                            const std::size_t kept = stats.effective_m;
                             return kept > 0 && kept < m;
                           }));
   EXPECT_EQ(a.mean_snr, b.mean_snr);
@@ -670,9 +671,47 @@ TEST_F(LinkTest, RunLinkRecordIsThreadDeterministic) {
   EXPECT_EQ(a.delivery_rate, b.delivery_rate);
   for (std::size_t w = 0; w < a.windows.size(); ++w) {
     EXPECT_EQ(a.windows[w].snr, b.windows[w].snr);
-    EXPECT_EQ(a.windows[w].stats.delivered, b.windows[w].stats.delivered);
-    EXPECT_EQ(a.windows[w].energy_j, b.windows[w].energy_j);
+    EXPECT_EQ(a.stats[w].delivered, b.stats[w].delivered);
+    EXPECT_EQ(a.energy_j[w], b.energy_j[w]);
   }
+}
+
+TEST_F(LinkTest, LosslessLinkRecordMatchesCleanRecord) {
+  // Over a perfect channel the link delivers every frame intact, so the
+  // shared runner must give the link record exactly the clean codec's
+  // per-window records, means and outlier flags.
+  const LinkSession session(config(), lowres(), lossless_link());
+  const core::Codec codec(config(), lowres());
+  const ecg::EcgRecord& record = database().record(1);
+  parallel::ThreadPool pool(2);
+  const LinkRecordReport link = run_link_record(session, record, 6, 0, pool);
+  const core::RecordReport clean =
+      core::run_record(codec, record, 6, core::DecodeMode::kAuto, pool);
+
+  ASSERT_EQ(link.windows.size(), clean.windows.size());
+  ASSERT_FALSE(clean.outlier_windows.empty());  // The fence is exercised.
+  for (std::size_t w = 0; w < clean.windows.size(); ++w) {
+    const core::WindowMetrics& a = link.windows[w];
+    const core::WindowMetrics& b = clean.windows[w];
+    EXPECT_EQ(a.prd, b.prd) << "window " << w;
+    EXPECT_EQ(a.snr, b.snr) << "window " << w;
+    EXPECT_EQ(a.iterations, b.iterations) << "window " << w;
+    EXPECT_EQ(a.exit, b.exit) << "window " << w;
+    EXPECT_EQ(a.converged, b.converged) << "window " << w;
+    EXPECT_EQ(a.ball_violation, b.ball_violation) << "window " << w;
+    EXPECT_EQ(a.solved, b.solved) << "window " << w;
+    EXPECT_EQ(a.m_eff, b.m_eff) << "window " << w;
+  }
+  EXPECT_EQ(link.record_name, clean.record_name);
+  EXPECT_EQ(link.mean_prd, clean.mean_prd);
+  EXPECT_EQ(link.mean_snr, clean.mean_snr);
+  EXPECT_EQ(link.solved_windows, clean.solved_windows);
+  EXPECT_EQ(link.converged_windows, clean.converged_windows);
+  EXPECT_EQ(link.non_converged_windows, clean.non_converged_windows);
+  EXPECT_EQ(link.outlier_windows, clean.outlier_windows);
+  EXPECT_EQ(link.outlier_snr_threshold_db, clean.outlier_snr_threshold_db);
+  EXPECT_EQ(link.lowres_only_windows, 0u);
+  EXPECT_EQ(link.delivery_rate, 1.0);
 }
 
 TEST_F(LinkTest, ChannelSubstreamsAreDistinct) {

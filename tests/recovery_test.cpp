@@ -65,57 +65,6 @@ TEST(Prox, SoftThresholdScalar) {
   EXPECT_DOUBLE_EQ(soft_threshold(2.0, 0.0), 2.0);
 }
 
-TEST(Prox, SoftThresholdVector) {
-  const Vector v{3.0, -0.5, -4.0};
-  const Vector out = soft_threshold(v, 1.0);
-  EXPECT_EQ(out, (Vector{2.0, 0.0, -3.0}));
-  EXPECT_THROW(soft_threshold(v, -1.0), std::invalid_argument);
-}
-
-TEST(Prox, L2BallInsideUntouched) {
-  const Vector v{1.0, 0.0};
-  const Vector c{0.5, 0.0};
-  EXPECT_EQ(project_l2_ball(v, c, 1.0), v);
-}
-
-TEST(Prox, L2BallProjectsToSurface) {
-  const Vector v{3.0, 4.0};
-  const Vector c(2);
-  const Vector p = project_l2_ball(v, c, 1.0);
-  EXPECT_NEAR(linalg::norm2(p), 1.0, 1e-12);
-  // Direction preserved.
-  EXPECT_NEAR(p[0] / p[1], 3.0 / 4.0, 1e-12);
-}
-
-TEST(Prox, L2BallZeroRadiusReturnsCenter) {
-  const Vector v{3.0, 4.0};
-  const Vector c{1.0, 1.0};
-  const Vector p = project_l2_ball(v, c, 0.0);
-  EXPECT_NEAR(p[0], 1.0, 1e-12);
-  EXPECT_NEAR(p[1], 1.0, 1e-12);
-}
-
-TEST(Prox, L2BallValidation) {
-  EXPECT_THROW(project_l2_ball(Vector{1.0}, Vector{1.0, 2.0}, 1.0),
-               std::invalid_argument);
-  EXPECT_THROW(project_l2_ball(Vector{1.0}, Vector{1.0}, -1.0),
-               std::invalid_argument);
-}
-
-TEST(Prox, BoxClamps) {
-  const Vector v{-5.0, 0.5, 5.0};
-  const Vector lo{0.0, 0.0, 0.0};
-  const Vector hi{1.0, 1.0, 1.0};
-  EXPECT_EQ(project_box(v, lo, hi), (Vector{0.0, 0.5, 1.0}));
-}
-
-TEST(Prox, BoxValidation) {
-  EXPECT_THROW(project_box(Vector{1.0}, Vector{2.0}, Vector{1.0}),
-               std::invalid_argument);
-  EXPECT_THROW(project_box(Vector{1.0, 2.0}, Vector{0.0}, Vector{1.0}),
-               std::invalid_argument);
-}
-
 // ---------------------------------------------------------------------------
 // PDHG (problem (1) and the normal-CS baseline).
 

@@ -270,9 +270,8 @@ TEST_F(TraceTest, LinkLedgerRowsCarryLossAccounting) {
   const std::vector<std::string> exits = ledger_exits(ledger);
   ASSERT_EQ(exits.size(), report.windows.size());
   for (std::size_t w = 0; w < exits.size(); ++w) {
-    const link::LinkWindowMetrics& m = report.windows[w];
-    EXPECT_EQ(exits[w],
-              m.lowres_only ? "none" : recovery::exit_name(m.exit))
+    const core::WindowMetrics& m = report.windows[w];
+    EXPECT_EQ(exits[w], m.solved ? recovery::exit_name(m.exit) : "none")
         << "window " << w;
   }
 

@@ -105,18 +105,39 @@ bool write_file(const char* path, const std::string& text) {
 struct RankedWindow {
   std::string record;
   std::size_t window = 0;
-  double snr = 0.0;
-  double prd = 0.0;
-  int iterations = 0;
-  bool converged = false;
-  const char* exit = "";  ///< Solver exit reason ("none" if no solve ran).
+  const core::WindowMetrics* metrics = nullptr;
   bool outlier = false;
 };
 
-void print_worst(std::vector<RankedWindow> ranked, std::size_t worst) {
+/// Prints the per-record table — record, SNR, PRD, the path's own `cost`
+/// columns (headed `cost_header`), converged/solved and outlier count —
+/// then the worst-N windows by SNR across all records.
+template <typename Report, typename Cost>
+void print_records(const std::vector<Report>& reports, const char* cost_header,
+                   Cost cost, std::size_t worst) {
+  std::printf("  %-10s %9s %9s %s %6s %9s\n", "record", "snr(dB)", "prd(%)",
+              cost_header, "conv", "outliers");
+  std::vector<RankedWindow> ranked;
+  for (const Report& r : reports) {
+    std::printf("  %-10s %9.2f %9.2f ", r.record_name.c_str(), r.mean_snr,
+                r.mean_prd);
+    cost(r);
+    std::printf(" %3zu/%zu %9zu\n", r.converged_windows, r.solved_windows,
+                r.outlier_windows.size());
+    std::size_t next_outlier = 0;
+    for (std::size_t w = 0; w < r.windows.size(); ++w) {
+      const bool outlier = next_outlier < r.outlier_windows.size() &&
+                           r.outlier_windows[next_outlier] == w;
+      if (outlier) ++next_outlier;
+      ranked.push_back({r.record_name, w, &r.windows[w], outlier});
+    }
+  }
+
   std::sort(ranked.begin(), ranked.end(),
             [](const RankedWindow& a, const RankedWindow& b) {
-              if (a.snr != b.snr) return a.snr < b.snr;
+              if (a.metrics->snr != b.metrics->snr) {
+                return a.metrics->snr < b.metrics->snr;
+              }
               if (a.record != b.record) return a.record < b.record;
               return a.window < b.window;
             });
@@ -126,9 +147,11 @@ void print_worst(std::vector<RankedWindow> ranked, std::size_t worst) {
               "snr(dB)", "prd(%)", "iters", "conv", "exit", "flag");
   for (std::size_t i = 0; i < n; ++i) {
     const RankedWindow& w = ranked[i];
+    const core::WindowMetrics& m = *w.metrics;
     std::printf("  %-10s %6zu %9.2f %9.2f %6d %5s %-9s %s\n",
-                w.record.c_str(), w.window, w.snr, w.prd, w.iterations,
-                w.converged ? "yes" : "NO", w.exit,
+                w.record.c_str(), w.window, m.snr, m.prd, m.iterations,
+                m.converged ? "yes" : "NO",
+                m.solved ? recovery::exit_name(m.exit) : "none",
                 w.outlier ? "OUTLIER" : "");
   }
 }
@@ -151,25 +174,12 @@ std::string run_clean(const Options& opts) {
 
   std::printf("clean-codec run: %zu records x %zu windows (n=%zu, m=%zu)\n\n",
               opts.records, opts.windows, config.window, config.measurements);
-  std::printf("  %-10s %9s %9s %8s %6s %9s\n", "record", "snr(dB)", "prd(%)",
-              "netCR%", "conv", "outliers");
-  std::vector<RankedWindow> ranked;
-  for (const auto& r : reports) {
-    std::printf("  %-10s %9.2f %9.2f %8.1f %3zu/%zu %9zu\n",
-                r.record_name.c_str(), r.mean_snr, r.mean_prd,
-                r.net_cr_percent, r.converged_windows, r.windows.size(),
-                r.outlier_windows.size());
-    std::size_t next_outlier = 0;
-    for (std::size_t w = 0; w < r.windows.size(); ++w) {
-      const bool outlier = next_outlier < r.outlier_windows.size() &&
-                           r.outlier_windows[next_outlier] == w;
-      if (outlier) ++next_outlier;
-      ranked.push_back({r.record_name, w, r.windows[w].snr, r.windows[w].prd,
-                        r.windows[w].iterations, r.windows[w].converged,
-                        recovery::exit_name(r.windows[w].exit), outlier});
-    }
-  }
-  print_worst(std::move(ranked), opts.worst);
+  print_records(
+      reports, "  netCR%",
+      [](const core::RecordReport& r) {
+        std::printf("%8.1f", r.net_cr_percent);
+      },
+      opts.worst);
   return core::to_jsonl(reports, codec.decoder(), core::DecodeMode::kAuto);
 }
 
@@ -202,28 +212,13 @@ std::string run_link(const Options& opts) {
   std::printf(
       "lossy-link run: %zu records x %zu windows (n=%zu, m=%zu, ~5%% loss)\n\n",
       opts.records, opts.windows, config.window, config.measurements);
-  std::printf("  %-10s %9s %9s %9s %6s %6s %9s\n", "record", "snr(dB)",
-              "prd(%)", "delivery", "retx", "conv", "outliers");
-  std::vector<RankedWindow> ranked;
-  for (const auto& r : reports) {
-    std::printf("  %-10s %9.2f %9.2f %8.1f%% %6zu %3zu/%zu %9zu\n",
-                r.record_name.c_str(), r.mean_snr, r.mean_prd,
-                r.delivery_rate * 100.0, r.retransmissions,
-                r.converged_windows, r.solved_windows,
-                r.outlier_windows.size());
-    std::size_t next_outlier = 0;
-    for (std::size_t w = 0; w < r.windows.size(); ++w) {
-      const bool outlier = next_outlier < r.outlier_windows.size() &&
-                           r.outlier_windows[next_outlier] == w;
-      if (outlier) ++next_outlier;
-      const link::LinkWindowMetrics& m = r.windows[w];
-      ranked.push_back({r.record_name, w, m.snr, m.prd, m.iterations,
-                        m.converged,
-                        m.lowres_only ? "none" : recovery::exit_name(m.exit),
-                        outlier});
-    }
-  }
-  print_worst(std::move(ranked), opts.worst);
+  print_records(
+      reports, " delivery   retx",
+      [](const link::LinkRecordReport& r) {
+        std::printf("%8.1f%% %6zu", r.delivery_rate * 100.0,
+                    r.retransmissions);
+      },
+      opts.worst);
   return link::to_jsonl(reports, session);
 }
 
