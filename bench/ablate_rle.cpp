@@ -13,11 +13,11 @@
 int main() {
   using namespace csecg;
   const auto& database = bench::shared_database();
-  const std::size_t train_records = bench::records_budget();
+  const auto [train_records, eval_count] =
+      bench::held_out_split(database.size());
   const std::size_t windows =
       std::max<std::size_t>(bench::windows_budget(), 4);
   const std::size_t eval_start = train_records;
-  const std::size_t eval_count = std::min<std::size_t>(8, 48 - eval_start);
   bench::print_header("ablate_rle",
                       "coder ablation — scalar Huffman vs zero-run vs "
                       "entropy ideal, overhead D_i (%)",

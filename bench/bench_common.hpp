@@ -6,6 +6,7 @@
 //   CSECG_WINDOWS  — analysis windows per record (default 1)
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -27,6 +28,21 @@ inline std::size_t env_or(const char* name, std::size_t fallback,
 
 inline std::size_t records_budget() { return env_or("CSECG_RECORDS", 8, 48); }
 inline std::size_t windows_budget() { return env_or("CSECG_WINDOWS", 1, 64); }
+
+/// For the benches that train the low-resolution codec and evaluate it on
+/// records it has not seen: records [0, train_records) train, and the
+/// eval_count records after them are held out.  Training takes the
+/// CSECG_RECORDS budget but always leaves at least one record of the
+/// database to hold out; evaluation takes up to 8 of the rest.
+struct HeldOutSplit {
+  std::size_t train_records;
+  std::size_t eval_count;
+};
+
+inline HeldOutSplit held_out_split(std::size_t database_size) {
+  const std::size_t train = std::min(records_budget(), database_size - 1);
+  return {train, std::min<std::size_t>(8, database_size - train)};
+}
 
 /// The database every bench evaluates on: 60-second surrogate records,
 /// fixed seed 2015 so all benches and EXPERIMENTS.md agree.

@@ -65,12 +65,9 @@ int main() {
   const auto lowres_codec = core::train_lowres_codec(config, database, 3, 3);
 
   // The acceptance bar runs every record: all 48 must complete at every
-  // loss rate.  CSECG_RECORDS can shrink this for quick local runs.
+  // loss rate.  An explicit CSECG_RECORDS runs exactly that many.
   const std::size_t records =
-      std::min<std::size_t>(bench::records_budget() == 8
-                                ? database.size()
-                                : bench::records_budget(),
-                            database.size());
+      bench::env_or("CSECG_RECORDS", database.size(), database.size());
   const std::size_t windows = bench::windows_budget();
   bench::print_header("bench_link", "telemetry link loss/energy trade-off",
                       records, windows);

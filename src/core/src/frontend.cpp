@@ -267,27 +267,16 @@ DecodeResult Decoder::solve_window(
   options.phi_norm_hint = phi_norm_;
 
   // Measurement democracy: a lost row is masked out of the cached Φ (the
-  // forward writes 0 there, the adjoint reads 0 there) and out of y.  The
-  // ball's dual stays exactly 0 on those rows and zeros change no norm,
-  // so this is the row-dropped problem on the surviving rows.
+  // forward skips it and writes 0 there, the adjoint reads 0 there) and
+  // out of y.  The ball's dual stays exactly 0 on those rows and zeros
+  // change no norm, so this is the row-dropped problem on the surviving
+  // rows.
   std::optional<linalg::LinearOperator> masked;
   linalg::Vector y_masked;
-  linalg::Vector q_masked;
   if (!lost.empty()) {
     y_masked = y;
     for (const std::size_t i : lost) y_masked[i] = 0.0;
-    masked.emplace(
-        m, config_.window,
-        [this, &lost](const linalg::Vector& x, linalg::Vector& out) {
-          phi_.apply_into(x, out);
-          for (const std::size_t i : lost) out[i] = 0.0;
-        },
-        [this, &lost, &q_masked](const linalg::Vector& q,
-                                 linalg::Vector& out) {
-          q_masked = q;
-          for (const std::size_t i : lost) q_masked[i] = 0.0;
-          phi_.apply_adjoint_into(q_masked, out);
-        });
+    masked.emplace(phi_.with_row_mask(mask));
   }
   const linalg::LinearOperator& phi = masked ? *masked : phi_;
 

@@ -39,7 +39,7 @@ class Dwt {
 
   /// forward() into a caller-owned vector (resized to size()); avoids the
   /// output allocation on the solver hot path.  x and coeffs must not
-  /// alias.  Thread-safe: the level workspace is per thread, so calls
+  /// alias.  Thread-safe: the two level buffers are per thread, so calls
   /// allocate nothing once a thread has run a transform of this size.
   void forward_into(const linalg::Vector& x, linalg::Vector& coeffs) const;
 
@@ -57,14 +57,22 @@ class Dwt {
   static int max_levels(std::size_t n);
 
  private:
-  void analyze_one_level(const double* input, std::size_t len, double* approx,
-                         double* detail) const;
-  void synthesize_one_level(const double* approx, const double* detail,
-                            std::size_t half, double* output) const;
+  /// One analysis level: input (length len) → approx, detail (len/2 each).
+  using AnalyzeLevel = void (*)(const double* h, const double* g,
+                                const double* input, std::size_t len,
+                                double* approx, double* detail);
+  /// One synthesis level: approx, detail (half each) → output (2·half).
+  using SynthesizeLevel = void (*)(const double* h, const double* g,
+                                   const double* approx, const double* detail,
+                                   std::size_t half, double* output);
 
   Wavelet wavelet_;
   std::size_t n_ = 0;
   int levels_ = 0;
+  /// The fixed-tap kernels for this family's filter length, picked once
+  /// by the constructor.
+  AnalyzeLevel analyze_ = nullptr;
+  SynthesizeLevel synthesize_ = nullptr;
 };
 
 }  // namespace csecg::dsp

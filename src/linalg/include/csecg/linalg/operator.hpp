@@ -6,12 +6,19 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
+#include <memory>
+#include <vector>
 
 #include "csecg/linalg/matrix.hpp"
 #include "csecg/linalg/vector.hpp"
 
 namespace csecg::linalg {
+
+namespace detail {
+class SignPackedMatrix;
+}  // namespace detail
 
 /// A linear map R^cols → R^rows given by destination-passing callables
 /// for K and Kᵀ.
@@ -34,6 +41,14 @@ class LinearOperator {
   /// agrees with multiply to rounding.  Any other matrix is copied and
   /// applied by the dense gemv kernels.
   static LinearOperator from_matrix(const Matrix& a);
+
+  /// The same map with the rows whose `keep` entry is 0 masked out (M·K
+  /// for the 0/1 diagonal M = diag(keep)): the forward writes 0 on those
+  /// rows and the adjoint reads 0 there.  `keep` has rows() entries.  A
+  /// sign-packed from_matrix operator skips the masked rows' work; the
+  /// result is bit-identical to applying in full and then zeroing, which
+  /// is what any other operator does.
+  LinearOperator with_row_mask(std::vector<std::uint8_t> keep) const;
 
   /// Identity operator of order n.
   static LinearOperator identity(std::size_t n);
@@ -60,6 +75,9 @@ class LinearOperator {
   std::size_t cols_ = 0;
   ApplyInto forward_;
   ApplyInto adjoint_;
+  /// Set by from_matrix when the matrix packs; with_row_mask reaches its
+  /// masked kernels through it.
+  std::shared_ptr<const detail::SignPackedMatrix> packed_;
 };
 
 /// Estimates the operator norm ‖K‖₂ (largest singular value) by power

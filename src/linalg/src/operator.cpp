@@ -25,12 +25,14 @@ LinearOperator LinearOperator::from_matrix(const Matrix& a) {
   if (auto packed = detail::SignPackedMatrix::pack(a)) {
     const auto shared =
         std::make_shared<const detail::SignPackedMatrix>(std::move(*packed));
-    return LinearOperator(
+    LinearOperator op(
         a.rows(), a.cols(),
         [shared](const Vector& x, Vector& y) { shared->multiply_into(x, y); },
         [shared](const Vector& y, Vector& x) {
           shared->multiply_transpose_into(y, x);
         });
+    op.packed_ = shared;
+    return op;
   }
   // One shared copy of the matrix across both callables.
   const auto shared = std::make_shared<const Matrix>(a);
@@ -39,6 +41,43 @@ LinearOperator LinearOperator::from_matrix(const Matrix& a) {
       [shared](const Vector& x, Vector& y) { multiply_into(*shared, x, y); },
       [shared](const Vector& y, Vector& x) {
         multiply_transpose_into(*shared, y, x);
+      });
+}
+
+LinearOperator LinearOperator::with_row_mask(
+    std::vector<std::uint8_t> keep) const {
+  CSECG_CHECK(keep.size() == rows_, "with_row_mask: mask has "
+                                        << keep.size() << " entries, expected "
+                                        << rows_);
+  const auto mask =
+      std::make_shared<const std::vector<std::uint8_t>>(std::move(keep));
+  if (packed_) {
+    return LinearOperator(
+        rows_, cols_,
+        [packed = packed_, mask](const Vector& x, Vector& y) {
+          packed->multiply_into(x, y, *mask);
+        },
+        [packed = packed_, mask](const Vector& y, Vector& x) {
+          packed->multiply_transpose_into(y, x, *mask);
+        });
+  }
+  return LinearOperator(
+      rows_, cols_,
+      [forward = forward_, mask](const Vector& x, Vector& y) {
+        forward(x, y);
+        for (std::size_t i = 0; i < y.size(); ++i) {
+          if ((*mask)[i] == 0) y[i] = 0.0;
+        }
+      },
+      [adjoint = adjoint_, mask](const Vector& y, Vector& x) {
+        // Per-thread copy of y, so the apply allocates nothing once grown.
+        // A nested mask assigns this copy to itself, which is harmless.
+        thread_local Vector masked;
+        masked = y;
+        for (std::size_t i = 0; i < masked.size(); ++i) {
+          if ((*mask)[i] == 0) masked[i] = 0.0;
+        }
+        adjoint(masked, x);
       });
 }
 

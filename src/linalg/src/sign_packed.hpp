@@ -12,6 +12,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "csecg/linalg/matrix.hpp"
@@ -26,12 +27,19 @@ class SignPackedMatrix {
   static std::optional<SignPackedMatrix> pack(const Matrix& a);
 
   /// y ← A·x (resized to m).  Sums in a different order from
-  /// linalg::multiply_into, so results agree to rounding only.
-  void multiply_into(const Vector& x, Vector& y) const;
+  /// linalg::multiply_into, so results agree to rounding only.  A non-empty
+  /// `keep` (m entries) masks rows out: a row whose entry is 0 is skipped
+  /// and reads 0, and every kept row is bit-identical to the full product.
+  void multiply_into(const Vector& x, Vector& y,
+                     std::span<const std::uint8_t> keep = {}) const;
 
   /// y ← Aᵀ·q (resized to n).  For unit scales (a ±1 matrix) the
-  /// result is bit-identical to linalg::multiply_transpose_into.
-  void multiply_transpose_into(const Vector& q, Vector& y) const;
+  /// result is bit-identical to linalg::multiply_transpose_into.  A
+  /// non-empty `keep` (m entries) reads q as 0 on the rows whose entry is
+  /// 0 and skips every four-row block and tail row that is wholly masked;
+  /// the result is bit-identical to zeroing those entries of q first.
+  void multiply_transpose_into(const Vector& q, Vector& y,
+                               std::span<const std::uint8_t> keep = {}) const;
 
  private:
   SignPackedMatrix(std::size_t m, std::size_t n);

@@ -116,7 +116,7 @@ PdhgResult solve_bpdn(const linalg::LinearOperator& phi,
   linalg::Vector w_m(m);       // σ_ball·Φx̄ + q1.
   linalg::Vector scaled_m(m);  // w_m / σ_ball (the point to project).
   linalg::Vector diff_m(m);    // scaled_m − y.
-  linalg::Vector grad(n);      // Φᵀq1 [+ q2].
+  linalg::Vector grad(n);      // Φᵀq1.
   linalg::Vector x_new(n);     // x̃.
   linalg::Vector coeffs(n);
   linalg::Vector check_diff(n);
@@ -143,12 +143,15 @@ PdhgResult solve_bpdn(const linalg::LinearOperator& phi,
     // q1 ← ρ·q̃1 + (1−ρ)·q1.
     {
       phi.apply_into(x_bar, w_m);
+      // w_m, the point scaled_m to project onto the σ-ball around y, and
+      // its offset diff_m from y, in one pass.
       for (std::size_t i = 0; i < m; ++i) {
-        w_m[i] = w_m[i] * sigma_ball + q1[i];
+        const double w = w_m[i] * sigma_ball + q1[i];
+        const double scaled = w / sigma_ball;
+        w_m[i] = w;
+        scaled_m[i] = scaled;
+        diff_m[i] = scaled - y[i];
       }
-      for (std::size_t i = 0; i < m; ++i) scaled_m[i] = w_m[i] / sigma_ball;
-      // Projection of scaled_m onto the σ-ball around y, in place.
-      for (std::size_t i = 0; i < m; ++i) diff_m[i] = scaled_m[i] - y[i];
       const double dist = linalg::norm2(diff_m);
       if (dist <= sigma) {
         for (std::size_t i = 0; i < m; ++i) {
@@ -173,8 +176,13 @@ PdhgResult solve_bpdn(const linalg::LinearOperator& phi,
     }
     // Primal descent: x̃ = prox_{τ‖Ψᵀ·‖₁}(x − τ·Kᵀq).
     phi.apply_adjoint_into(q1, grad);
-    if (box) grad += q2;
-    for (std::size_t i = 0; i < n; ++i) x_new[i] = x[i] - tau * grad[i];
+    if (box) {
+      for (std::size_t i = 0; i < n; ++i) {
+        x_new[i] = x[i] - tau * (grad[i] + q2[i]);
+      }
+    } else {
+      for (std::size_t i = 0; i < n; ++i) x_new[i] = x[i] - tau * grad[i];
+    }
     {
       psi.apply_adjoint_into(x_new, coeffs);
       for (std::size_t i = 0; i < n; ++i) {

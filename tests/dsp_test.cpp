@@ -3,9 +3,13 @@
 // and the orthonormal DCT-II dictionary.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numbers>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "csecg/dsp/dct.hpp"
 #include "csecg/dsp/dwt.hpp"
@@ -185,6 +189,106 @@ TEST(Dwt, MultiLevelMatchesRepeatedSingleLevel) {
   for (std::size_t i = 0; i < n / 2; ++i) {
     EXPECT_NEAR(c_ref[i], c2[i], 1e-10);               // Coarse part.
     EXPECT_NEAR(c_ref[n / 2 + i], c1[n / 2 + i], 1e-10);  // Level-1 details.
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The fixed-tap kernels against a plain run-time filter-length reference.
+
+/// One analysis level, looping over the run-time filter length: output i
+/// sums tap k · input[(2i + k) mod len] in order of k from 0.0.
+void reference_analyze(const Wavelet& w, const double* input, std::size_t len,
+                       double* approx, double* detail) {
+  const std::size_t flen = w.length();
+  for (std::size_t i = 0; i < len / 2; ++i) {
+    double a = 0.0;
+    double d = 0.0;
+    for (std::size_t k = 0; k < flen; ++k) {
+      const double v = input[(2 * i + k) % len];
+      a += w.lowpass[k] * v;
+      d += w.highpass[k] * v;
+    }
+    approx[i] = a;
+    detail[i] = d;
+  }
+}
+
+/// One synthesis level: output[(2i + k) mod len] accumulates in order of i
+/// from 0.0.
+void reference_synthesize(const Wavelet& w, const double* approx,
+                          const double* detail, std::size_t half,
+                          double* output) {
+  const std::size_t len = 2 * half;
+  const std::size_t flen = w.length();
+  for (std::size_t j = 0; j < len; ++j) output[j] = 0.0;
+  for (std::size_t i = 0; i < half; ++i) {
+    for (std::size_t k = 0; k < flen; ++k) {
+      output[(2 * i + k) % len] +=
+          w.lowpass[k] * approx[i] + w.highpass[k] * detail[i];
+    }
+  }
+}
+
+Vector reference_forward(const Wavelet& w, const Vector& x, int levels) {
+  const std::size_t n = x.size();
+  Vector coeffs(n);
+  std::vector<double> current(x.begin(), x.end());
+  std::vector<double> approx(n / 2);
+  std::size_t len = n;
+  for (int level = 0; level < levels; ++level) {
+    const std::size_t half = len / 2;
+    reference_analyze(w, current.data(), len, approx.data(),
+                      coeffs.data() + half);
+    for (std::size_t i = 0; i < half; ++i) current[i] = approx[i];
+    len = half;
+  }
+  for (std::size_t i = 0; i < len; ++i) coeffs[i] = current[i];
+  return coeffs;
+}
+
+Vector reference_inverse(const Wavelet& w, const Vector& coeffs, int levels) {
+  const std::size_t n = coeffs.size();
+  Vector x = coeffs;
+  std::vector<double> merged(n);
+  for (std::size_t half = n >> levels; half < n; half *= 2) {
+    reference_synthesize(w, x.data(), x.data() + half, half, merged.data());
+    for (std::size_t i = 0; i < 2 * half; ++i) x[i] = merged[i];
+  }
+  return x;
+}
+
+std::vector<std::uint64_t> bits_of(const Vector& v) {
+  std::vector<std::uint64_t> bits;
+  for (const double x : v) bits.push_back(std::bit_cast<std::uint64_t>(x));
+  return bits;
+}
+
+TEST(Dwt, FixedTapKernelsBitIdenticalToRuntimeLengthLoops) {
+  // Every family at every level count, on n = 64 and 512.  Deep levels
+  // leave bands shorter than the filter (db10 and sym8 from the 16-sample
+  // band down), where every output wraps.
+  for (const WaveletFamily family : all_wavelet_families()) {
+    const Wavelet w = make_wavelet(family);
+    for (const std::size_t n : {std::size_t{64}, std::size_t{512}}) {
+      for (int levels = 1; levels <= Dwt::max_levels(n); ++levels) {
+        SCOPED_TRACE(wavelet_name(family) + " n=" + std::to_string(n) +
+                     " levels=" + std::to_string(levels));
+        const Dwt dwt(family, n, levels);
+        const std::uint64_t seed =
+            1000 * n + static_cast<std::uint64_t>(levels);
+        const Vector x = random_signal(n, seed);
+        const Vector c = random_signal(n, seed + 500);
+        const auto forward_ref = bits_of(reference_forward(w, x, levels));
+        const auto inverse_ref = bits_of(reference_inverse(w, c, levels));
+        EXPECT_EQ(bits_of(dwt.forward(x)), forward_ref);
+        EXPECT_EQ(bits_of(dwt.inverse(c)), inverse_ref);
+        Vector into(3, 1.0);  // Wrong size and stale contents on entry.
+        dwt.forward_into(x, into);
+        EXPECT_EQ(bits_of(into), forward_ref);
+        dwt.inverse_into(c, into);
+        EXPECT_EQ(bits_of(into), inverse_ref);
+      }
+    }
   }
 }
 

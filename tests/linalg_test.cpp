@@ -2,7 +2,10 @@
 // operators, iterative solvers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -492,6 +495,84 @@ TEST(SignPackedOperator, SharedOperatorIsThreadSafe) {
     EXPECT_EQ(forward[t], op.apply(xs[t])) << t;
     EXPECT_EQ(adjoint[t], op.apply_adjoint(qs[t])) << t;
   }
+}
+
+std::vector<std::uint64_t> bits_of(const Vector& v) {
+  std::vector<std::uint64_t> bits;
+  for (const double x : v) bits.push_back(std::bit_cast<std::uint64_t>(x));
+  return bits;
+}
+
+/// Random row masks over m rows: each four-row block is wholly kept,
+/// wholly lost or mixed, and so are the m % 4 tail rows; plus the all-kept,
+/// all-lost and single-kept-row masks.
+std::vector<std::vector<std::uint8_t>> random_row_masks(std::size_t m,
+                                                        std::uint64_t seed) {
+  rng::Xoshiro256 g(seed);
+  std::vector<std::vector<std::uint8_t>> masks;
+  for (int trial = 0; trial < 6; ++trial) {
+    std::vector<std::uint8_t> keep(m);
+    for (std::size_t first = 0; first < m; first += 4) {
+      const std::uint64_t kind = g.next() % 3;
+      for (std::size_t i = first; i < std::min(first + 4, m); ++i) {
+        keep[i] = kind == 0 ? 1 : kind == 1 ? 0 : (g.next() >> 63) & 1u;
+      }
+    }
+    masks.push_back(std::move(keep));
+  }
+  masks.emplace_back(m, std::uint8_t{1});
+  masks.emplace_back(m, std::uint8_t{0});
+  std::vector<std::uint8_t> one(m, 0);
+  one[m - 1] = 1;
+  masks.push_back(std::move(one));
+  return masks;
+}
+
+TEST(RowMaskedOperator, BitIdenticalToApplyThenZero) {
+  // The masked forward must equal the full product with the lost rows
+  // zeroed, and the masked adjoint the full adjoint of q with the lost
+  // entries zeroed, bit for bit: for ±1 and leaky sign-packed matrices
+  // (which skip the lost rows' work) and a dense one (which does not).
+  // Shapes cover m % 4 tails and eight-wide runs with remainders.
+  for (const auto& [m, n] : {std::pair<std::size_t, std::size_t>{96, 512},
+                             {37, 33},
+                             {66, 130},
+                             {7, 5},
+                             {1, 3}}) {
+    Matrix leaky = sign_matrix(m, n, 400 + m);
+    for (std::size_t j = 0; j < n; ++j) {
+      const double w = std::pow(0.99, static_cast<double>(n - 1 - j));
+      for (std::size_t i = 0; i < m; ++i) leaky(i, j) *= w;
+    }
+    for (const Matrix& a :
+         {sign_matrix(m, n, 410 + n), leaky, random_matrix(m, n, 420)}) {
+      const LinearOperator op = LinearOperator::from_matrix(a);
+      const Vector x = random_vector(n, 430 + m);
+      const Vector q = random_vector(m, 440 + n);
+      for (const auto& keep : random_row_masks(m, 450 + m + n)) {
+        const LinearOperator masked = op.with_row_mask(keep);
+        Vector forward_ref = op.apply(x);
+        Vector q_zeroed = q;
+        for (std::size_t i = 0; i < m; ++i) {
+          if (keep[i] == 0) {
+            forward_ref[i] = 0.0;
+            q_zeroed[i] = 0.0;
+          }
+        }
+        EXPECT_EQ(bits_of(masked.apply(x)), bits_of(forward_ref))
+            << m << "x" << n;
+        EXPECT_EQ(bits_of(masked.apply_adjoint(q)),
+                  bits_of(op.apply_adjoint(q_zeroed)))
+            << m << "x" << n;
+      }
+    }
+  }
+}
+
+TEST(RowMaskedOperator, RejectsWrongMaskLength) {
+  const LinearOperator op = LinearOperator::from_matrix(sign_matrix(8, 4, 1));
+  EXPECT_THROW(op.with_row_mask(std::vector<std::uint8_t>(7, 1)),
+               std::invalid_argument);
 }
 
 TEST(OperatorNorm, MatchesKnownSingularValue) {
