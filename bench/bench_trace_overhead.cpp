@@ -1,25 +1,29 @@
-// Tracing overhead tracker.
+// Observability overhead tracker.
 //
-// Three interleaved arms over the run_database workload:
+// Two arms over the run_database workload, alternated pass by pass:
 //
-//   dark     obs off, trace off — the floor.
-//   default  obs on (the shipping default), trace off.  The gated
-//            number is this arm's cost over `dark`: the tracing hooks sit
-//            on the encode/decode/solver hot paths even when disarmed, so
-//            this catches a disabled-path regression (a branch that became
-//            an allocation, say).  Bar < 2%, CI gate 5%.
-//   tracing  obs + trace on — the cost of actually recording a timeline.
-//            Reported for the record, not gated: rings fill and the arm
-//            pays for JSON-able strings.
+//   default  the shipping state: histograms and counters record, tracing
+//            is disarmed.
+//   tracing  the same with tracing armed, so every stage scope also
+//            writes a trace event.
+//
+// A rep runs kPasses passes of each arm, interleaved with the order
+// flipping every pass, and yields one overhead ratio tracing / default − 1
+// over its summed times.  Machine-load bursts on a shared host mostly
+// outlast a pass, so they slow both arms of a rep alike; one that does not
+// moves one rep's ratio, not the median over reps.  The bench reports the
+// median and interquartile range of the per-rep ratios and exits 2 when
+// the median exceeds 5%; a median smaller than the IQR is inside the
+// noise.
 //
 // Results land in BENCH_trace.json.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "csecg/core/runner.hpp"
-#include "csecg/obs/registry.hpp"
 #include "csecg/obs/trace.hpp"
 #include "csecg/parallel/thread_pool.hpp"
 
@@ -28,16 +32,18 @@ namespace {
 using namespace csecg;
 using Clock = std::chrono::steady_clock;
 
-double seconds_since(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
+/// Linearly interpolated quantile of an ascending sample.
+double quantile(const std::vector<double>& sorted, double q) {
+  const double at = q * static_cast<double>(sorted.size() - 1);
+  const auto lo = static_cast<std::size_t>(at);
+  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
+  const double frac = at - static_cast<double>(lo);
+  return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
 }
 
-void arm(bool obs_on, bool trace_on) {
-  obs::set_enabled(obs_on);
-  obs::set_trace_enabled(trace_on);
-  // Start each rep from an empty ring: a full ring silently stops costing
-  // anything, which would flatter the tracing arm.
-  obs::trace_reset();
+double median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  return quantile(values, 0.5);
 }
 
 }  // namespace
@@ -50,68 +56,68 @@ int main() {
 
   const std::size_t records = std::min<std::size_t>(bench::records_budget(), 8);
   const std::size_t windows = std::max<std::size_t>(bench::windows_budget(), 2);
-  bench::print_header("bench_trace_overhead", "tracing throughput cost",
+  bench::print_header("bench_trace_overhead", "observability throughput cost",
                       records, windows);
-  const std::size_t total_windows = records * windows;
+  const auto total_windows = static_cast<double>(records * windows);
   parallel::ThreadPool pool(1);  // Serial: per-window cost is not hidden
                                  // behind thread scheduling noise.
 
-  for (std::size_t r = 0; r < records; ++r) (void)database.record(r);
-  arm(true, false);
-  (void)core::run_database(codec, database, records, windows,
-                           core::DecodeMode::kAuto, pool);
+  // Times one pass with tracing armed or not.  Each pass starts from an
+  // empty ring: a full ring silently stops costing anything, which would
+  // flatter the tracing arm.
+  const auto timed_pass = [&](bool tracing) {
+    obs::set_trace_enabled(tracing);
+    obs::trace_reset();
+    const auto start = Clock::now();
+    (void)core::run_database(codec, database, records, windows,
+                             core::DecodeMode::kAuto, pool);
+    return std::chrono::duration<double>(Clock::now() - start).count();
+  };
 
-  constexpr int kReps = 9;
-  double dark_best = 1e300;
-  double default_best = 1e300;
-  double tracing_best = 1e300;
-  // Machine-load drift across ~second-scale reps dwarfs a 2% effect.
-  // Load only ever adds time, so best-of-reps approximates each arm's
-  // unloaded floor and the best-of ratio is the real overhead — the same
-  // estimator bench_obs_overhead uses, with more reps because this bench
-  // compares three arms.
-  std::printf("arm,rep,seconds,windows_per_sec\n");
+  (void)timed_pass(false);  // Warm-up: records, operators, first-touch rings.
+  (void)timed_pass(true);
+
+  constexpr int kReps = 11;
+  constexpr int kPasses = 4;
+  std::vector<double> default_seconds;
+  std::vector<double> tracing_seconds;
+  std::vector<double> overhead_percent;
+  std::printf("rep,default_seconds,tracing_seconds,overhead_percent\n");
   for (int rep = 0; rep < kReps; ++rep) {
-    arm(false, false);
-    auto start = Clock::now();
-    (void)core::run_database(codec, database, records, windows,
-                             core::DecodeMode::kAuto, pool);
-    const double dark_seconds = seconds_since(start);
-    dark_best = std::min(dark_best, dark_seconds);
-    std::printf("dark,%d,%.4f,%.2f\n", rep, dark_seconds,
-                static_cast<double>(total_windows) / dark_seconds);
-
-    arm(true, false);
-    start = Clock::now();
-    (void)core::run_database(codec, database, records, windows,
-                             core::DecodeMode::kAuto, pool);
-    const double default_seconds = seconds_since(start);
-    default_best = std::min(default_best, default_seconds);
-    std::printf("default,%d,%.4f,%.2f\n", rep, default_seconds,
-                static_cast<double>(total_windows) / default_seconds);
-
-    arm(true, true);
-    start = Clock::now();
-    (void)core::run_database(codec, database, records, windows,
-                             core::DecodeMode::kAuto, pool);
-    const double tracing_seconds = seconds_since(start);
-    tracing_best = std::min(tracing_best, tracing_seconds);
-    std::printf("tracing,%d,%.4f,%.2f\n", rep, tracing_seconds,
-                static_cast<double>(total_windows) / tracing_seconds);
+    double off = 0.0;
+    double on = 0.0;
+    for (int pass = 0; pass < kPasses; ++pass) {
+      if ((rep + pass) % 2 == 0) {
+        off += timed_pass(false);
+        on += timed_pass(true);
+      } else {
+        on += timed_pass(true);
+        off += timed_pass(false);
+      }
+    }
+    default_seconds.push_back(off / kPasses);
+    tracing_seconds.push_back(on / kPasses);
+    overhead_percent.push_back((on / off - 1.0) * 100.0);
+    std::printf("%d,%.4f,%.4f,%.2f\n", rep, off / kPasses, on / kPasses,
+                overhead_percent.back());
   }
-  arm(true, false);  // Leave the process in the shipping default.
+  obs::set_trace_enabled(false);  // Leave the process in the default state.
+  obs::trace_reset();
 
-  const double dark_wps = static_cast<double>(total_windows) / dark_best;
-  const double default_wps = static_cast<double>(total_windows) / default_best;
-  const double tracing_wps = static_cast<double>(total_windows) / tracing_best;
-  const double default_overhead = (default_best / dark_best - 1.0) * 100.0;
-  const double tracing_overhead = (tracing_best / dark_best - 1.0) * 100.0;
-  std::printf("# dark:    %.2f windows/s\n", dark_wps);
-  std::printf("# default: %.2f windows/s (%.2f%% over dark; "
-              "target < 2%%, CI gate 5%%)\n",
-              default_wps, default_overhead);
-  std::printf("# tracing: %.2f windows/s (%.2f%% over dark; informational)\n",
-              tracing_wps, tracing_overhead);
+  std::sort(overhead_percent.begin(), overhead_percent.end());
+  const double q1 = quantile(overhead_percent, 0.25);
+  const double overhead = quantile(overhead_percent, 0.5);
+  const double q3 = quantile(overhead_percent, 0.75);
+  const double default_wps = total_windows / median(default_seconds);
+  const double tracing_wps = total_windows / median(tracing_seconds);
+  constexpr double kGatePercent = 5.0;
+  std::printf("# default: %.2f windows/s (median of %d reps)\n", default_wps,
+              kReps);
+  std::printf("# tracing: %.2f windows/s (median of %d reps)\n", tracing_wps,
+              kReps);
+  std::printf("# tracing overhead: median %.2f%%, IQR %.2f%% [%.2f, %.2f] "
+              "(CI gate: median < %.0f%%)\n",
+              overhead, q3 - q1, q1, q3, kGatePercent);
 
   std::FILE* json = std::fopen("BENCH_trace.json", "w");
   if (json == nullptr) {
@@ -122,28 +128,26 @@ int main() {
   std::fprintf(json, "  \"bench\": \"trace_overhead\",\n");
   std::fprintf(json,
                "  \"workload\": {\"records\": %zu, \"windows_per_record\": "
-               "%zu, \"window\": %zu, \"measurements\": %zu, \"reps\": %d},\n",
-               records, windows, config.window, config.measurements, kReps);
+               "%zu, \"window\": %zu, \"measurements\": %zu, \"reps\": %d, "
+               "\"passes\": %d},\n",
+               records, windows, config.window, config.measurements, kReps,
+               kPasses);
   std::fprintf(json,
-               "  \"dark\": {\"best_seconds\": %.4f, "
+               "  \"default\": {\"median_seconds_per_pass\": %.4f, "
                "\"windows_per_sec\": %.3f},\n",
-               dark_best, dark_wps);
+               median(default_seconds), default_wps);
   std::fprintf(json,
-               "  \"default\": {\"best_seconds\": %.4f, "
+               "  \"tracing\": {\"median_seconds_per_pass\": %.4f, "
                "\"windows_per_sec\": %.3f},\n",
-               default_best, default_wps);
+               median(tracing_seconds), tracing_wps);
   std::fprintf(json,
-               "  \"tracing\": {\"best_seconds\": %.4f, "
-               "\"windows_per_sec\": %.3f},\n",
-               tracing_best, tracing_wps);
-  std::fprintf(json, "  \"overhead_percent\": %.3f,\n", default_overhead);
-  std::fprintf(json, "  \"tracing_overhead_percent\": %.3f,\n",
-               tracing_overhead);
-  std::fprintf(json, "  \"target_percent\": 2.0,\n");
-  std::fprintf(json, "  \"gate_percent\": 5.0\n");
+               "  \"overhead_percent\": {\"median\": %.3f, \"q1\": %.3f, "
+               "\"q3\": %.3f, \"iqr\": %.3f},\n",
+               overhead, q1, q3, q3 - q1);
+  std::fprintf(json, "  \"gate_percent\": %.1f\n", kGatePercent);
   std::fprintf(json, "}\n");
   std::fclose(json);
   std::printf("# wrote BENCH_trace.json\n");
 
-  return default_overhead < 5.0 ? 0 : 2;
+  return overhead < kGatePercent ? 0 : 2;
 }

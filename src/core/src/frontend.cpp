@@ -8,7 +8,6 @@
 #include "csecg/common/check.hpp"
 #include "csecg/dsp/dwt.hpp"
 #include "csecg/obs/registry.hpp"
-#include "csecg/obs/span.hpp"
 #include "csecg/obs/trace.hpp"
 
 namespace csecg::core {
@@ -114,8 +113,7 @@ const std::optional<sensing::Quantizer>& Encoder::measurement_adc()
 Frame Encoder::encode(const linalg::Vector& window) const {
   static obs::Histogram& encode_hist = obs::histogram("encode.window_ns");
   static obs::Counter& encoded_windows = obs::counter("encode.windows");
-  const obs::Span encode_span(encode_hist);
-  obs::TraceScope encode_trace("encode", "core");
+  const obs::TraceScope encode_scope("encode", "core", &encode_hist);
   encoded_windows.add();
   CSECG_CHECK(window.size() == config_.window,
               "Encoder::encode: window has " << window.size()
@@ -318,7 +316,7 @@ DecodeResult Decoder::solve_window(
 
 LossyDecodeResult Decoder::decode_lossy(const LossyWindow& window) const {
   static obs::Counter& lossy_windows = obs::counter("decode.lossy_windows");
-  obs::TraceScope decode_trace("decode_lossy", "core", "m_eff");
+  obs::TraceScope decode_trace("decode_lossy", "core", nullptr, "m_eff");
   lossy_windows.add();
   const std::size_t n = config_.window;
   const std::size_t m = config_.measurements;

@@ -39,8 +39,8 @@ RecordQuality run_windows(const ecg::EcgRecord& record,
   // bit-identical whatever the pool size.
   report.windows.resize(windows.size());
   pool.parallel_for(0, windows.size(), [&](std::size_t w) {
-    obs::TraceScope window_trace("runner.window", "runner", "window",
-                                 static_cast<std::uint64_t>(w));
+    obs::TraceScope window_trace("runner.window", "runner", nullptr,
+                                 "window", static_cast<std::uint64_t>(w));
     WindowMetrics m;
     const linalg::Vector x = step(w, windows[w], m);
     m.prd = metrics::prd_zero_mean(windows[w], x);

@@ -5,7 +5,6 @@
 #include "csecg/common/check.hpp"
 #include "csecg/obs/json.hpp"
 #include "csecg/obs/registry.hpp"
-#include "csecg/obs/span.hpp"
 #include "csecg/obs/trace.hpp"
 #include "csecg/rng/xoshiro.hpp"
 
@@ -97,25 +96,23 @@ WindowResult LinkSession::transmit_window(const linalg::Vector& window,
       obs::counter("link.arq.retransmissions");
   static obs::Counter& link_crc_failures = obs::counter("link.crc_failures");
 
-  obs::TraceScope window_trace("link.window", "link", "sequence",
+  obs::TraceScope window_trace("link.window", "link", nullptr,
+                               "sequence",
                                static_cast<std::uint64_t>(sequence));
   const core::Frame frame = encoder_.encode(window);
   const auto window_seq = static_cast<std::uint16_t>(sequence & 0xFFFFu);
-  obs::Span packetize_span(packetize_hist);
-  obs::TraceScope packetize_trace("link.packetize", "link");
+  obs::TraceScope packetize_scope("link.packetize", "link", &packetize_hist);
   const auto packets = packetizer_.packetize(frame, window_seq);
-  packetize_trace.stop();
-  packetize_span.stop();
+  packetize_scope.stop();
 
   WindowResult out;
   Channel channel(link_.channel, channel_seed(sequence));
-  obs::Span transmit_span(transmit_hist);
-  obs::TraceScope transmit_trace("link.transmit", "link", "packets",
+  obs::TraceScope transmit_scope("link.transmit", "link", &transmit_hist,
+                                 "packets",
                                  static_cast<std::uint64_t>(packets.size()));
   const auto delivered =
       transmit_packets(packets, channel, link_.arq, out.stats);
-  transmit_trace.stop();
-  transmit_span.stop();
+  transmit_scope.stop();
   const ReassemblyResult reassembled =
       reassembler_.reassemble(window_seq, delivered);
 

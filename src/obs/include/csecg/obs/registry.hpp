@@ -1,17 +1,15 @@
-// Lightweight observability: named atomic counters, gauges, and lock-free
-// per-thread histograms, scraped into a structured JSON snapshot.
+// Lightweight observability: named atomic counters and log2 histograms,
+// scraped into a structured JSON snapshot.
 //
 // Design constraints (see DESIGN.md "Observability"):
-//  * The hot path stays allocation-free (PR 1 contract).  Counter::add and
-//    Histogram::record are relaxed atomic writes into thread-private
-//    storage; the only locks are taken at registration time (first use of
-//    a name, first record from a new thread) and at scrape time.
+//  * The hot path stays allocation-free.  Counter::add and
+//    Histogram::record are relaxed atomic writes; the only lock is taken
+//    at registration time (first use of a name) and at scrape time.
 //  * Instrumented code caches references: `static obs::Counter& c =
 //    obs::counter("solver.pdhg.solves");` — the name lookup happens once.
-//  * Timing can be switched off globally (obs::set_enabled(false)): spans
-//    stop reading the clock and histograms go quiet, while counters keep
-//    running so reports stay correct.  bench_obs_overhead holds the
-//    < 2% throughput-cost bar for the enabled configuration.
+//  * Counters and histograms always record.  Stages are timed into
+//    histograms through obs::TraceScope (trace.hpp), a few samples per
+//    decoded window, so one shared set of atomics per histogram is cheap.
 //
 // Naming scheme: dotted lower_snake paths `<module>.<unit>.<event>`, e.g.
 // `solver.pdhg.non_converged`, `quantizer.clamped_high`,
@@ -22,20 +20,11 @@
 #include <atomic>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace csecg::obs {
-
-/// True (default) when timing instrumentation is armed.  Counters are not
-/// gated — they cost one relaxed fetch_add and reports depend on them.
-bool enabled() noexcept;
-
-/// Arms/disarms timing instrumentation process-wide.
-void set_enabled(bool on) noexcept;
 
 /// Monotonic wall clock in nanoseconds (steady_clock).
 std::uint64_t monotonic_ns() noexcept;
@@ -55,40 +44,18 @@ class Counter {
   std::atomic<std::uint64_t> value_{0};
 };
 
-/// Last-value-wins instantaneous measurement.
-class Gauge {
- public:
-  void set(double value) noexcept {
-    value_.store(value, std::memory_order_relaxed);
-  }
-  double value() const noexcept {
-    return value_.load(std::memory_order_relaxed);
-  }
-  void reset() noexcept { value_.store(0.0, std::memory_order_relaxed); }
-
- private:
-  std::atomic<double> value_{0.0};
-};
-
 /// Log2-bucketed histogram of non-negative integer samples (typically
-/// durations in nanoseconds).  Each recording thread writes its own shard
-/// (relaxed atomics, no sharing), and shards are merged on scrape — so
-/// record() is lock-free and allocation-free after the first call from a
-/// given thread.
+/// durations in nanoseconds).  record() is lock-free and allocation-free:
+/// relaxed atomic adds into one set of buckets shared by every thread.
 class Histogram {
  public:
   /// Bucket b counts samples in [2^(b-1), 2^b); bucket 0 counts zeros.
   static constexpr std::size_t kBuckets = 64;
 
-  Histogram();
-  ~Histogram();  // Out-of-line: Shard is incomplete here.
-  Histogram(const Histogram&) = delete;
-  Histogram& operator=(const Histogram&) = delete;
-
-  /// Records one sample.  No-op while obs::enabled() is false.
+  /// Records one sample.
   void record(std::uint64_t value) noexcept;
 
-  /// Merged view of every shard.
+  /// A copy of the current state.
   struct Snapshot {
     std::uint64_t count = 0;
     std::uint64_t sum = 0;
@@ -104,24 +71,24 @@ class Histogram {
     std::uint64_t quantile(double q) const noexcept;
   };
 
-  Snapshot snapshot() const;
+  /// Each field is read atomically, but a snapshot taken while other
+  /// threads record may see count, sum and buckets out of step.
+  Snapshot snapshot() const noexcept;
 
-  /// Zeroes every shard (scrape-side; racing record() calls may survive).
+  /// Zeroes every field (scrape-side; racing record() calls may survive).
   void reset() noexcept;
 
  private:
-  struct Shard;
-  Shard& local_shard();
-
-  const std::size_t id_;  ///< Process-unique, indexes the thread-local cache.
-  mutable std::mutex shards_mutex_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  std::atomic<std::uint64_t> count_{0};
+  std::atomic<std::uint64_t> sum_{0};
+  std::atomic<std::uint64_t> max_{0};
+  std::array<std::atomic<std::uint64_t>, kBuckets> buckets_{};
 };
 
-/// A named set of counters, gauges, and histograms.  Lookup is find-or-
-/// create under a mutex; the returned references are stable for the
-/// registry's lifetime (node-based storage), which is what lets call sites
-/// cache them in function-local statics.
+/// A named set of counters and histograms.  Lookup is find-or-create under
+/// a mutex; the returned references are stable for the registry's
+/// lifetime (node-based storage), which is what lets call sites cache
+/// them in function-local statics.
 class Registry {
  public:
   Registry() = default;
@@ -129,12 +96,10 @@ class Registry {
   Registry& operator=(const Registry&) = delete;
 
   Counter& counter(std::string_view name);
-  Gauge& gauge(std::string_view name);
   Histogram& histogram(std::string_view name);
 
   /// Serializes every metric:
   ///   {"counters": {name: n, ...},
-  ///    "gauges": {name: x, ...},
   ///    "histograms": {name: {"count": n, "sum": s, "max": m,
   ///                          "mean": x, "p50": a, "p90": b, "p99": c}}}
   /// Keys are sorted; the output is stable given stable metric values.
@@ -149,13 +114,11 @@ class Registry {
  private:
   mutable std::mutex mutex_;
   std::map<std::string, Counter, std::less<>> counters_;
-  std::map<std::string, Gauge, std::less<>> gauges_;
-  std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
+  std::map<std::string, Histogram, std::less<>> histograms_;
 };
 
 /// Convenience accessors on the global registry.
 Counter& counter(std::string_view name);
-Gauge& gauge(std::string_view name);
 Histogram& histogram(std::string_view name);
 
 /// Registry::global().snapshot_json().

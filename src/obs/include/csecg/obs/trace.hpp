@@ -1,18 +1,22 @@
-// Structured pipeline tracing: per-thread fixed-capacity event buffers
-// behind a process-wide gate, exported as Chrome trace-event JSON that
-// loads directly in Perfetto / chrome://tracing.
+// Stage timing and structured pipeline tracing.  obs::TraceScope is the
+// one way to time a stage: it feeds an optional histogram (always) and the
+// trace (while armed) from one pair of clock reads.  The trace is a set of
+// per-thread fixed-capacity event buffers behind a process-wide gate,
+// exported as Chrome trace-event JSON that loads directly in Perfetto /
+// chrome://tracing.
 //
 // Design constraints (see DESIGN.md "Observability"):
-//  * The disabled hot path stays allocation-free: every emit site is one
-//    out-of-line trace_enabled() load plus a branch, and no buffer exists
-//    until a thread records its first event while tracing is on.
+//  * The disabled hot path stays allocation-free: a scope with tracing off
+//    costs one out-of-line trace_enabled() load and one stop() call, and
+//    no buffer exists until a thread records its first event while
+//    tracing is on.
 //  * Recording is lock-free: each thread owns one append-only buffer of
 //    preallocated slots; the writer publishes with a release store of its
 //    event count and the exporter reads it back with an acquire load, so
 //    no event slot is ever touched by two threads without ordering.
-//  * Buffers are bounded (CSECG_TRACE_CAPACITY events per thread, default
-//    65536).  A full buffer drops new events and bumps the
-//    `trace.dropped_events` counter rather than blocking or reallocating.
+//  * Buffers are bounded (kTraceCapacity events per thread).  A full
+//    buffer drops new events and bumps the `trace.dropped_events` counter
+//    rather than blocking or reallocating.
 //
 // Gating: tracing starts disabled unless the CSECG_TRACE environment
 // variable is truthy ("1", "on", anything but ""/"0"/"false"/"off"), and
@@ -46,17 +50,8 @@ bool trace_enabled() noexcept;
 /// Arms/disarms tracing process-wide.
 void set_trace_enabled(bool on) noexcept;
 
-/// Per-thread buffer capacity in events (CSECG_TRACE_CAPACITY, fixed at
-/// first use).
-std::size_t trace_capacity() noexcept;
-
-/// Records a begin/end pair as one complete ('X') event.  No-op while
-/// tracing is disabled; drops (and counts) when the thread's buffer is
-/// full.
-void trace_complete(const char* name, const char* category,
-                    std::uint64_t start_ns, std::uint64_t dur_ns,
-                    const char* arg_name = nullptr,
-                    std::uint64_t arg = 0) noexcept;
+/// Per-thread buffer capacity in events.
+inline constexpr std::size_t kTraceCapacity = 65536;
 
 /// Records an instant ('i') event stamped now.
 void trace_instant(const char* name, const char* category,
@@ -77,26 +72,32 @@ std::string trace_json();
 /// Histogram::reset: events being recorded concurrently may survive.
 void trace_reset();
 
-/// Times a scope into the trace as one complete event.  Reads no clock and
-/// records nothing while tracing is disabled.
+/// Times a stage.  The duration goes to `histogram` when one is given
+/// (always) and to the trace as one complete ('X') event while tracing is
+/// armed at construction; both sinks get the same clock reads.  With no
+/// histogram and tracing off it reads no clock and records nothing.
 ///
-///   void Encoder::encode(...) {
-///     obs::TraceScope trace("encode", "core");
+///   Frame Encoder::encode(...) const {
+///     static obs::Histogram& h = obs::histogram("encode.window_ns");
+///     obs::TraceScope scope("encode", "core", &h);
 ///     ...
-///   }  // event emitted on scope exit
+///   }  // recorded on scope exit
 ///
 /// An optional u64 argument can be named at construction and filled in
 /// later (e.g. an iteration count known only at the end of the scope).
 class TraceScope {
  public:
   explicit TraceScope(const char* name, const char* category,
+                      Histogram* histogram = nullptr,
                       const char* arg_name = nullptr,
                       std::uint64_t arg = 0) noexcept
       : name_(trace_enabled() ? name : nullptr),
         category_(category),
+        histogram_(histogram),
         arg_name_(arg_name),
         arg_(arg),
-        start_ns_(name_ != nullptr ? monotonic_ns() : 0) {}
+        start_ns_(name_ != nullptr || histogram_ != nullptr ? monotonic_ns()
+                                                            : 0) {}
 
   TraceScope(const TraceScope&) = delete;
   TraceScope& operator=(const TraceScope&) = delete;
@@ -106,17 +107,13 @@ class TraceScope {
   /// Updates the argument value emitted with the event.
   void set_arg(std::uint64_t value) noexcept { arg_ = value; }
 
-  /// Emits now and disarms the destructor.
-  void stop() noexcept {
-    if (name_ == nullptr) return;
-    trace_complete(name_, category_, start_ns_, monotonic_ns() - start_ns_,
-                   arg_name_, arg_);
-    name_ = nullptr;
-  }
+  /// Records now and disarms the destructor.
+  void stop() noexcept;
 
  private:
-  const char* name_;
+  const char* name_;  ///< nullptr = not tracing.
   const char* category_;
+  Histogram* histogram_;
   const char* arg_name_;
   std::uint64_t arg_;
   std::uint64_t start_ns_;

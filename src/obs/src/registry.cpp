@@ -9,26 +9,6 @@
 
 namespace csecg::obs {
 
-namespace {
-
-std::atomic<bool> g_enabled{true};
-
-/// Process-unique histogram ids; never reused, so a stale thread-local
-/// shard pointer left by a destroyed histogram can never be read back.
-std::atomic<std::size_t> g_next_histogram_id{0};
-
-/// Per-thread shard cache indexed by histogram id.  Grows only on the
-/// registration slow path; the hot path is one bounds check and one load.
-thread_local std::vector<void*> t_shards;
-
-}  // namespace
-
-bool enabled() noexcept { return g_enabled.load(std::memory_order_relaxed); }
-
-void set_enabled(bool on) noexcept {
-  g_enabled.store(on, std::memory_order_relaxed);
-}
-
 std::uint64_t monotonic_ns() noexcept {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -39,73 +19,35 @@ std::uint64_t monotonic_ns() noexcept {
 // ---------------------------------------------------------------------------
 // Histogram.
 
-struct Histogram::Shard {
-  std::atomic<std::uint64_t> count{0};
-  std::atomic<std::uint64_t> sum{0};
-  std::atomic<std::uint64_t> max{0};
-  std::array<std::atomic<std::uint64_t>, Histogram::kBuckets> buckets{};
-};
-
-Histogram::Histogram()
-    : id_(g_next_histogram_id.fetch_add(1, std::memory_order_relaxed)) {}
-
-Histogram::~Histogram() = default;
-
-Histogram::Shard& Histogram::local_shard() {
-  if (id_ < t_shards.size() && t_shards[id_] != nullptr) {
-    return *static_cast<Shard*>(t_shards[id_]);
-  }
-  auto owned = std::make_unique<Shard>();
-  Shard* shard = owned.get();
-  {
-    const std::lock_guard<std::mutex> lock(shards_mutex_);
-    shards_.push_back(std::move(owned));
-  }
-  if (t_shards.size() <= id_) t_shards.resize(id_ + 1, nullptr);
-  t_shards[id_] = shard;
-  return *shard;
-}
-
 void Histogram::record(std::uint64_t value) noexcept {
-  if (!enabled()) return;
-  Shard& shard = local_shard();
   const std::size_t bucket =
       value == 0 ? 0
                  : std::min<std::size_t>(std::bit_width(value), kBuckets - 1);
-  shard.buckets[bucket].fetch_add(1, std::memory_order_relaxed);
-  shard.count.fetch_add(1, std::memory_order_relaxed);
-  shard.sum.fetch_add(value, std::memory_order_relaxed);
-  std::uint64_t prev = shard.max.load(std::memory_order_relaxed);
-  while (value > prev && !shard.max.compare_exchange_weak(
-                             prev, value, std::memory_order_relaxed)) {
+  buckets_[bucket].fetch_add(1, std::memory_order_relaxed);
+  count_.fetch_add(1, std::memory_order_relaxed);
+  sum_.fetch_add(value, std::memory_order_relaxed);
+  std::uint64_t prev = max_.load(std::memory_order_relaxed);
+  while (value > prev &&
+         !max_.compare_exchange_weak(prev, value, std::memory_order_relaxed)) {
   }
 }
 
-Histogram::Snapshot Histogram::snapshot() const {
-  Snapshot merged;
-  const std::lock_guard<std::mutex> lock(shards_mutex_);
-  for (const auto& shard : shards_) {
-    merged.count += shard->count.load(std::memory_order_relaxed);
-    merged.sum += shard->sum.load(std::memory_order_relaxed);
-    merged.max =
-        std::max(merged.max, shard->max.load(std::memory_order_relaxed));
-    for (std::size_t b = 0; b < kBuckets; ++b) {
-      merged.buckets[b] += shard->buckets[b].load(std::memory_order_relaxed);
-    }
+Histogram::Snapshot Histogram::snapshot() const noexcept {
+  Snapshot snap;
+  snap.count = count_.load(std::memory_order_relaxed);
+  snap.sum = sum_.load(std::memory_order_relaxed);
+  snap.max = max_.load(std::memory_order_relaxed);
+  for (std::size_t b = 0; b < kBuckets; ++b) {
+    snap.buckets[b] = buckets_[b].load(std::memory_order_relaxed);
   }
-  return merged;
+  return snap;
 }
 
 void Histogram::reset() noexcept {
-  const std::lock_guard<std::mutex> lock(shards_mutex_);
-  for (const auto& shard : shards_) {
-    shard->count.store(0, std::memory_order_relaxed);
-    shard->sum.store(0, std::memory_order_relaxed);
-    shard->max.store(0, std::memory_order_relaxed);
-    for (auto& bucket : shard->buckets) {
-      bucket.store(0, std::memory_order_relaxed);
-    }
-  }
+  count_.store(0, std::memory_order_relaxed);
+  sum_.store(0, std::memory_order_relaxed);
+  max_.store(0, std::memory_order_relaxed);
+  for (auto& bucket : buckets_) bucket.store(0, std::memory_order_relaxed);
 }
 
 std::uint64_t Histogram::Snapshot::quantile(double q) const noexcept {
@@ -133,38 +75,32 @@ std::uint64_t Histogram::Snapshot::quantile(double q) const noexcept {
 // ---------------------------------------------------------------------------
 // Registry.
 
-Counter& Registry::counter(std::string_view name) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  auto it = counters_.find(name);
-  if (it == counters_.end()) {
-    it = counters_
-             .emplace(std::piecewise_construct,
-                      std::forward_as_tuple(name), std::forward_as_tuple())
+namespace {
+
+/// Find-or-create in a node-based map keyed by metric name.
+template <typename Metric>
+Metric& find_or_create(std::map<std::string, Metric, std::less<>>& metrics,
+                       std::string_view name) {
+  auto it = metrics.find(name);
+  if (it == metrics.end()) {
+    it = metrics
+             .emplace(std::piecewise_construct, std::forward_as_tuple(name),
+                      std::forward_as_tuple())
              .first;
   }
   return it->second;
 }
 
-Gauge& Registry::gauge(std::string_view name) {
+}  // namespace
+
+Counter& Registry::counter(std::string_view name) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  auto it = gauges_.find(name);
-  if (it == gauges_.end()) {
-    it = gauges_
-             .emplace(std::piecewise_construct,
-                      std::forward_as_tuple(name), std::forward_as_tuple())
-             .first;
-  }
-  return it->second;
+  return find_or_create(counters_, name);
 }
 
 Histogram& Registry::histogram(std::string_view name) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  auto it = histograms_.find(name);
-  if (it == histograms_.end()) {
-    it = histograms_.emplace(std::string(name), std::make_unique<Histogram>())
-             .first;
-  }
-  return *it->second;
+  return find_or_create(histograms_, name);
 }
 
 std::string Registry::snapshot_json() const {
@@ -182,21 +118,12 @@ std::string Registry::snapshot_json() const {
     out += ':';
     append_json_u64(out, value.value());
   }
-  out += "},\"gauges\":{";
-  first = true;
-  for (const auto& [name, value] : gauges_) {
-    if (!first) out += ',';
-    first = false;
-    append_json_string(out, name);
-    out += ':';
-    append_json_double(out, value.value());
-  }
   out += "},\"histograms\":{";
   first = true;
   for (const auto& [name, hist] : histograms_) {
     if (!first) out += ',';
     first = false;
-    const Histogram::Snapshot snap = hist->snapshot();
+    const Histogram::Snapshot snap = hist.snapshot();
     append_json_string(out, name);
     out += ":{\"count\":";
     append_json_u64(out, snap.count);
@@ -221,8 +148,7 @@ std::string Registry::snapshot_json() const {
 void Registry::reset() {
   const std::lock_guard<std::mutex> lock(mutex_);
   for (auto& [name, value] : counters_) value.reset();
-  for (auto& [name, value] : gauges_) value.reset();
-  for (auto& [name, hist] : histograms_) hist->reset();
+  for (auto& [name, hist] : histograms_) hist.reset();
 }
 
 Registry& Registry::global() {
@@ -236,8 +162,6 @@ Registry& Registry::global() {
 Counter& counter(std::string_view name) {
   return Registry::global().counter(name);
 }
-
-Gauge& gauge(std::string_view name) { return Registry::global().gauge(name); }
 
 Histogram& histogram(std::string_view name) {
   return Registry::global().histogram(name);

@@ -12,8 +12,6 @@
 namespace csecg::obs {
 namespace {
 
-constexpr std::size_t kDefaultTraceCapacity = 65536;
-
 bool env_truthy(const char* name) {
   const char* env = std::getenv(name);
   if (env == nullptr) return false;
@@ -31,8 +29,8 @@ std::atomic<bool>& trace_flag() {
 /// thread); the exporter synchronizes through the release/acquire pair on
 /// `size`, so the plain event slots are never racily shared.
 struct ThreadTrace {
-  ThreadTrace(std::uint32_t tid_, std::size_t capacity)
-      : tid(tid_), events(capacity) {}
+  explicit ThreadTrace(std::uint32_t tid_)
+      : tid(tid_), events(kTraceCapacity) {}
   const std::uint32_t tid;
   std::atomic<std::size_t> size{0};
   std::vector<TraceEvent> events;
@@ -57,8 +55,7 @@ ThreadTrace& local_trace() {
   if (t_trace != nullptr) return *t_trace;
   TraceState& s = state();
   const std::lock_guard<std::mutex> lock(s.mutex);
-  s.buffers.push_back(
-      std::make_unique<ThreadTrace>(s.next_tid++, trace_capacity()));
+  s.buffers.push_back(std::make_unique<ThreadTrace>(s.next_tid++));
   t_trace = s.buffers.back().get();
   return *t_trace;
 }
@@ -85,22 +82,15 @@ void set_trace_enabled(bool on) noexcept {
   trace_flag().store(on, std::memory_order_relaxed);
 }
 
-std::size_t trace_capacity() noexcept {
-  static const std::size_t capacity = [] {
-    if (const char* env = std::getenv("CSECG_TRACE_CAPACITY")) {
-      const long parsed = std::strtol(env, nullptr, 10);
-      if (parsed > 0) return static_cast<std::size_t>(parsed);
-    }
-    return kDefaultTraceCapacity;
-  }();
-  return capacity;
-}
-
-void trace_complete(const char* name, const char* category,
-                    std::uint64_t start_ns, std::uint64_t dur_ns,
-                    const char* arg_name, std::uint64_t arg) noexcept {
-  if (!trace_enabled()) return;
-  push_event({name, category, arg_name, start_ns, dur_ns, arg, 'X'});
+void TraceScope::stop() noexcept {
+  if (name_ == nullptr && histogram_ == nullptr) return;
+  const std::uint64_t dur_ns = monotonic_ns() - start_ns_;
+  if (histogram_ != nullptr) histogram_->record(dur_ns);
+  if (name_ != nullptr) {
+    push_event({name_, category_, arg_name_, start_ns_, dur_ns, arg_, 'X'});
+  }
+  name_ = nullptr;
+  histogram_ = nullptr;
 }
 
 void trace_instant(const char* name, const char* category,

@@ -7,7 +7,6 @@
 
 #include "csecg/common/check.hpp"
 #include "csecg/obs/registry.hpp"
-#include "csecg/obs/span.hpp"
 #include "csecg/obs/trace.hpp"
 
 namespace csecg::parallel {
@@ -109,8 +108,8 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
   auto run_chunk = [&fn, &shared](std::size_t chunk, std::size_t lo,
                                   std::size_t hi) {
     try {
-      const obs::Span run_span(run_hist);
-      obs::TraceScope chunk_trace("pool.chunk", "pool", "chunk", chunk);
+      const obs::TraceScope chunk_scope("pool.chunk", "pool", &run_hist,
+                                        "chunk", chunk);
       for (std::size_t i = lo; i < hi; ++i) fn(i);
     } catch (...) {
       const std::lock_guard<std::mutex> lock(shared.mutex);
@@ -131,15 +130,12 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
 
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    const std::uint64_t enqueue_ns =
-        obs::enabled() ? obs::monotonic_ns() : 0;
+    const std::uint64_t enqueue_ns = obs::monotonic_ns();
     for (std::size_t c = 1; c < chunks; ++c) {
       queue_.emplace_back([&run_chunk, &shared, c, spans, enqueue_ns] {
         // Time spent parked in the queue before a worker picked this
         // chunk up — the fan-out latency the runner pays per window.
-        if (enqueue_ns != 0) {
-          wait_hist.record(obs::monotonic_ns() - enqueue_ns);
-        }
+        wait_hist.record(obs::monotonic_ns() - enqueue_ns);
         run_chunk(c, spans[c].first, spans[c].second);
         // Notify under the lock: once pending hits 0 the caller may
         // destroy `shared`, so the worker must be done touching it

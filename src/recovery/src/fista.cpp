@@ -4,7 +4,6 @@
 
 #include "csecg/common/check.hpp"
 #include "csecg/obs/registry.hpp"
-#include "csecg/obs/span.hpp"
 #include "csecg/obs/trace.hpp"
 #include "csecg/recovery/prox.hpp"
 
@@ -22,8 +21,8 @@ FistaResult solve_lasso_fista(const linalg::LinearOperator& a,
                               const linalg::Vector& y, double lambda,
                               const FistaOptions& options) {
   static obs::Histogram& solve_hist = obs::histogram("solver.fista.solve_ns");
-  const obs::Span solve_span(solve_hist);
-  obs::TraceScope solve_trace("solver.fista.solve", "solver", "iterations");
+  obs::TraceScope solve_scope("solver.fista.solve", "solver", &solve_hist,
+                              "iterations");
   validate(options);
   CSECG_CHECK(lambda > 0.0, "solve_lasso_fista: lambda must be positive");
   CSECG_CHECK(y.size() == a.rows(), "solve_lasso_fista: y has "
@@ -87,12 +86,10 @@ FistaResult solve_lasso_fista(const linalg::LinearOperator& a,
   static obs::Counter& converged = obs::counter("solver.fista.converged");
   static obs::Counter& non_converged =
       obs::counter("solver.fista.non_converged");
-  static obs::Gauge& last_residual = obs::gauge("solver.fista.last_residual");
   solves.add();
   iterations.add(static_cast<std::uint64_t>(result.iterations));
   (result.converged ? converged : non_converged).add();
-  last_residual.set(linalg::norm2(residual));
-  solve_trace.set_arg(static_cast<std::uint64_t>(result.iterations));
+  solve_scope.set_arg(static_cast<std::uint64_t>(result.iterations));
   return result;
 }
 

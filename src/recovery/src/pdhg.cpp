@@ -5,7 +5,6 @@
 
 #include "csecg/common/check.hpp"
 #include "csecg/obs/registry.hpp"
-#include "csecg/obs/span.hpp"
 #include "csecg/obs/trace.hpp"
 #include "csecg/recovery/prox.hpp"
 
@@ -66,8 +65,8 @@ PdhgResult solve_bpdn(const linalg::LinearOperator& phi,
                       const std::optional<BoxConstraint>& box,
                       const PdhgOptions& options) {
   static obs::Histogram& solve_hist = obs::histogram("solver.pdhg.solve_ns");
-  const obs::Span solve_span(solve_hist);
-  obs::TraceScope solve_trace("solver.pdhg.solve", "solver", "iterations");
+  obs::TraceScope solve_scope("solver.pdhg.solve", "solver", &solve_hist,
+                              "iterations");
   validate(options);
   const std::size_t m = phi.rows();
   const std::size_t n = phi.cols();
@@ -246,8 +245,6 @@ PdhgResult solve_bpdn(const linalg::LinearOperator& phi,
   static obs::Counter& converged = obs::counter("solver.pdhg.converged");
   static obs::Counter& non_converged =
       obs::counter("solver.pdhg.non_converged");
-  static obs::Gauge& last_residual = obs::gauge("solver.pdhg.last_residual");
-  static obs::Gauge& last_epsilon = obs::gauge("solver.pdhg.last_epsilon");
   static obs::Counter* const exits[] = {
       &obs::counter("solver.pdhg.exit.converged"),
       &obs::counter("solver.pdhg.exit.ball"),
@@ -258,9 +255,7 @@ PdhgResult solve_bpdn(const linalg::LinearOperator& phi,
   iterations.add(static_cast<std::uint64_t>(result.iterations));
   (result.converged ? converged : non_converged).add();
   exits[static_cast<std::size_t>(result.exit)]->add();
-  last_residual.set(result.ball_violation);
-  last_epsilon.set(sigma);
-  solve_trace.set_arg(static_cast<std::uint64_t>(result.iterations));
+  solve_scope.set_arg(static_cast<std::uint64_t>(result.iterations));
   return result;
 }
 

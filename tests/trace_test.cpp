@@ -12,6 +12,7 @@
 
 #include "csecg/core/runner.hpp"
 #include "csecg/link/session.hpp"
+#include "csecg/obs/json.hpp"
 #include "csecg/obs/registry.hpp"
 #include "csecg/obs/trace.hpp"
 #include "csecg/parallel/thread_pool.hpp"
@@ -59,7 +60,7 @@ void expect_balanced_json(const std::string& json) {
 TEST_F(TraceTest, ScopeEmitsCompleteEventWithArg) {
   obs::set_trace_enabled(true);
   {
-    obs::TraceScope scope("trace_test.scope", "test", "items");
+    obs::TraceScope scope("trace_test.scope", "test", nullptr, "items");
     scope.set_arg(42);
   }
   EXPECT_GE(obs::trace_event_count(), 1u);
@@ -70,6 +71,32 @@ TEST_F(TraceTest, ScopeEmitsCompleteEventWithArg) {
   EXPECT_NE(json.find("\"cat\":\"test\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
   EXPECT_NE(json.find("\"args\":{\"items\":42}"), std::string::npos);
+}
+
+TEST_F(TraceTest, ScopeFeedsHistogramAndTraceTheSameDuration) {
+  obs::Registry reg;
+  obs::Histogram& h = reg.histogram("trace_test.both_ns");
+  obs::set_trace_enabled(true);
+  {
+    const obs::TraceScope scope("trace_test.both", "test", &h);
+  }
+  const obs::Histogram::Snapshot traced = h.snapshot();
+  EXPECT_EQ(traced.count, 1u);
+  EXPECT_EQ(obs::trace_event_count(), 1u);
+  // The trace renders dur_ns / 1000 in the shortest round-trip form, so
+  // equal durations give equal strings.
+  std::string dur = "\"dur\":";
+  obs::append_json_double(dur, static_cast<double>(traced.sum) / 1000.0);
+  const std::string json = obs::trace_json();
+  EXPECT_NE(json.find(dur), std::string::npos) << dur << " in " << json;
+
+  // Tracing off: the histogram still records, the trace does not.
+  obs::set_trace_enabled(false);
+  {
+    const obs::TraceScope scope("trace_test.both", "test", &h);
+  }
+  EXPECT_EQ(h.snapshot().count, 2u);
+  EXPECT_EQ(obs::trace_event_count(), 1u);
 }
 
 TEST_F(TraceTest, DisabledScopeRecordsNothingAndReadsNoClock) {
@@ -96,7 +123,7 @@ TEST_F(TraceTest, InstantEventsCarryScopeMarker) {
 
 TEST_F(TraceTest, FullRingDropsAndCountsInsteadOfGrowing) {
   obs::set_trace_enabled(true);
-  const std::size_t capacity = obs::trace_capacity();
+  const std::size_t capacity = obs::kTraceCapacity;
   const std::uint64_t dropped_before =
       obs::counter("trace.dropped_events").value();
   const std::size_t count_before = obs::trace_event_count();
