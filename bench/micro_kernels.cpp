@@ -1,7 +1,8 @@
 // Microbenchmarks (google-benchmark) for the kernels that dominate
-// end-to-end runtime: the DWT pair, RMPI measurement, the PDHG solve at
-// the paper's operating point, delta-Huffman coding, the dense gemv that
-// underlies everything, and the sign-packed kernels Φ actually runs.
+// end-to-end runtime: the DWT pair, RMPI measurement, record synthesis,
+// the PDHG solve at the paper's operating point, delta-Huffman coding, the
+// dense gemv that underlies everything, and the sign-packed kernels Φ
+// actually runs.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -62,6 +63,17 @@ void BM_RmpiMeasure(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RmpiMeasure)->Arg(96)->Arg(240);
+
+// One full-length database record (60 s at 360 Hz): ECGSYN synthesis on
+// the 4x grid, anti-alias decimation, noise and digitization.
+void BM_SynthesizeRecord(benchmark::State& state) {
+  const ecg::RecordConfig config;
+  const ecg::RecordProfile& profile = ecg::mitbih_surrogate_profiles()[0];
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ecg::generate_record(profile, config, 42));
+  }
+}
+BENCHMARK(BM_SynthesizeRecord)->Unit(benchmark::kMillisecond);
 
 void BM_HuffmanRoundtrip(benchmark::State& state) {
   ecg::RecordConfig record_config;

@@ -1,8 +1,7 @@
 // FIR filtering utilities.
 //
 // Used by the ECG synthesis path (band-limiting before decimation) and by
-// the RMPI simulator (anti-alias behaviour of the integrate-and-dump stage
-// is validated against an explicit lowpass).
+// the QRS detector (band-pass and baseline estimation).
 #pragma once
 
 #include <cstddef>
@@ -26,12 +25,11 @@ linalg::Vector convolve(const linalg::Vector& x,
 linalg::Vector filter_same(const linalg::Vector& x,
                            const std::vector<double>& h);
 
-/// Circular convolution of x with h (period = x.size()).
-linalg::Vector circular_convolve(const linalg::Vector& x,
-                                 const std::vector<double>& h);
-
-/// Keeps every `factor`-th sample starting at index 0.
-linalg::Vector decimate(const linalg::Vector& x, std::size_t factor);
+/// filter_same, then every `factor`-th sample from index 0, computing only
+/// the kept outputs; bit-identical to that two-step form.
+linalg::Vector filter_decimate(const linalg::Vector& x,
+                               const std::vector<double>& h,
+                               std::size_t factor);
 
 /// Centered moving average of the given odd window length (edge samples
 /// use a shrunken window); used for baseline trend estimation.

@@ -1,5 +1,6 @@
 #include "csecg/dsp/fir.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
 
@@ -57,25 +58,24 @@ linalg::Vector filter_same(const linalg::Vector& x,
   return y;
 }
 
-linalg::Vector circular_convolve(const linalg::Vector& x,
-                                 const std::vector<double>& h) {
-  CSECG_CHECK(!x.empty() && !h.empty(), "circular_convolve: empty operand");
-  const std::size_t n = x.size();
-  linalg::Vector y(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    double acc = 0.0;
-    for (std::size_t k = 0; k < h.size(); ++k) {
-      acc += h[k] * x[(i + n - (k % n)) % n];
-    }
-    y[i] = acc;
-  }
-  return y;
-}
-
-linalg::Vector decimate(const linalg::Vector& x, std::size_t factor) {
-  CSECG_CHECK(factor >= 1, "decimate factor must be >= 1");
+linalg::Vector filter_decimate(const linalg::Vector& x,
+                               const std::vector<double>& h,
+                               std::size_t factor) {
+  CSECG_CHECK(!x.empty() && h.size() % 2 == 1 && factor >= 1,
+              "filter_decimate: empty input, even-length filter or factor 0");
+  const std::size_t delay = (h.size() - 1) / 2;
   linalg::Vector y((x.size() + factor - 1) / factor);
-  for (std::size_t i = 0; i < y.size(); ++i) y[i] = x[i * factor];
+  for (std::size_t j = 0; j < y.size(); ++j) {
+    // filter_same's sample j·factor is convolve's full[p]: the sum of
+    // x[i]·h[p − i] over ascending i, skipping x[i] == 0, from 0.0.
+    const std::size_t p = j * factor + delay;
+    const std::size_t last = std::min(p, x.size() - 1);
+    double acc = 0.0;
+    for (std::size_t i = p > 2 * delay ? p - 2 * delay : 0; i <= last; ++i) {
+      if (x[i] != 0.0) acc += x[i] * h[p - i];
+    }
+    y[j] = acc;
+  }
   return y;
 }
 

@@ -87,8 +87,9 @@ class SyntheticDatabase {
   std::size_t size() const noexcept;
 
   /// Record by index; generated on first access and cached.  Thread-safe
-  /// (the parallel experiment runner pulls records from pool workers).
-  /// Throws std::invalid_argument if index ≥ size().
+  /// (the parallel experiment runner pulls records from pool workers):
+  /// each record has its own lock, so different records generate
+  /// concurrently.  Throws std::invalid_argument if index ≥ size().
   const EcgRecord& record(std::size_t index) const;
 
   /// Record name by index (no generation cost).
@@ -99,8 +100,12 @@ class SyntheticDatabase {
  private:
   RecordConfig config_;
   std::uint64_t seed_;
-  mutable std::mutex cache_mutex_;
-  mutable std::vector<std::unique_ptr<EcgRecord>> cache_;
+  // One cache slot per record; the lock guards the fill.
+  struct Slot {
+    std::mutex mutex;
+    std::unique_ptr<EcgRecord> record;
+  };
+  std::unique_ptr<Slot[]> slots_;
 };
 
 /// Extracts `count` non-overlapping analysis windows of `length` samples,

@@ -1,5 +1,6 @@
 #include "csecg/ecg/ecgsyn.hpp"
 
+#include <array>
 #include <cmath>
 #include <numbers>
 
@@ -18,24 +19,49 @@ constexpr double kTwoPi = 2.0 * std::numbers::pi;
 // apply the equivalent fixed gain so a normal R wave lands near 1.1 mV.
 constexpr double kOutputGainMv = 3.6;
 
-/// Wraps an angle to (−π, π].
+/// Wraps an angle into [−π, π]: fmod(θ + π, 2π), plus 2π if negative, − π.
+/// fmod is the identity on (−2π, 2π) and returns a − 2π, exactly, on
+/// [2π, 4π); every phase the model forms lands there, so only other
+/// values pay for the library call (DESIGN.md §2).
 double wrap_phase(double theta) {
-  theta = std::fmod(theta + kPi, kTwoPi);
-  if (theta < 0.0) theta += kTwoPi;
-  return theta - kPi;
+  double a = theta + kPi;
+  if (a >= kTwoPi && a < 2.0 * kTwoPi) {
+    a -= kTwoPi;
+  } else if (!(a > -kTwoPi && a < kTwoPi)) {
+    a = std::fmod(a, kTwoPi);
+  }
+  if (a < 0.0) a += kTwoPi;
+  return a - kPi;
 }
 
-/// dz/dt of the McSharry model for the given beat morphology.
-double z_derivative(double theta, double z, double z0, double omega,
-                    const BeatMorphology& morph) {
+/// A beat morphology's five Gaussian events with their per-sample
+/// constants (angle in radians, 2b²) worked out once.
+struct Waves {
+  std::array<double, 5> theta_rad;
+  std::array<double, 5> a;
+  std::array<double, 5> two_b_squared;
+};
+
+Waves waves_of(const BeatMorphology& morph) {
+  Waves w{};
+  for (std::size_t i = 0; i < 5; ++i) {
+    w.theta_rad[i] = morph.theta_deg[i] * kPi / 180.0;
+    w.a[i] = morph.a[i];
+    w.two_b_squared[i] = 2.0 * morph.b[i] * morph.b[i];
+  }
+  return w;
+}
+
+/// −Σᵢ aᵢ·Δθᵢ·exp(−Δθᵢ²/(2bᵢ²)): the part of dz/dt that depends only on
+/// the phase and the morphology, not on z.
+double gauss_sum(double theta, const Waves& waves) {
   double acc = 0.0;
   for (std::size_t i = 0; i < 5; ++i) {
-    const double theta_i = morph.theta_deg[i] * kPi / 180.0;
-    const double dtheta = wrap_phase(theta - theta_i);
-    const double bi = morph.b[i];
-    acc -= morph.a[i] * dtheta * std::exp(-dtheta * dtheta / (2.0 * bi * bi));
+    const double dtheta = wrap_phase(theta - waves.theta_rad[i]);
+    acc -= waves.a[i] * dtheta *
+           std::exp(-dtheta * dtheta / waves.two_b_squared[i]);
   }
-  return acc * omega - (z - z0);
+  return acc;
 }
 
 }  // namespace
@@ -63,29 +89,30 @@ SynthesizedEcg synthesize(const EcgSynConfig& config, double duration_seconds,
       static_cast<std::size_t>(std::ceil(duration_seconds * fs_int));
 
   // Pre-scale each distinct morphology once.
-  auto morph_for = [&config](BeatType type) {
-    return scale_morphology(beat_morphology(type), config.amplitude_scale,
-                            config.width_scale);
+  auto waves_for = [&config](BeatType type) {
+    return waves_of(scale_morphology(beat_morphology(type),
+                                     config.amplitude_scale,
+                                     config.width_scale));
   };
-  const BeatMorphology morph_normal = morph_for(BeatType::kNormal);
-  const BeatMorphology morph_pvc = morph_for(BeatType::kPvc);
-  const BeatMorphology morph_apc = morph_for(BeatType::kApc);
-  const BeatMorphology morph_wide = morph_for(BeatType::kWide);
-  const BeatMorphology morph_afib = morph_for(BeatType::kAfib);
-  auto select = [&](BeatType type) -> const BeatMorphology& {
+  const Waves waves_normal = waves_for(BeatType::kNormal);
+  const Waves waves_pvc = waves_for(BeatType::kPvc);
+  const Waves waves_apc = waves_for(BeatType::kApc);
+  const Waves waves_wide = waves_for(BeatType::kWide);
+  const Waves waves_afib = waves_for(BeatType::kAfib);
+  auto select = [&](BeatType type) -> const Waves& {
     switch (type) {
       case BeatType::kPvc:
-        return morph_pvc;
+        return waves_pvc;
       case BeatType::kApc:
-        return morph_apc;
+        return waves_apc;
       case BeatType::kWide:
-        return morph_wide;
+        return waves_wide;
       case BeatType::kAfib:
-        return morph_afib;
+        return waves_afib;
       case BeatType::kNormal:
         break;
     }
-    return morph_normal;
+    return waves_normal;
   };
 
   std::vector<double> fine(total_fine);
@@ -96,28 +123,30 @@ SynthesizedEcg synthesize(const EcgSynConfig& config, double duration_seconds,
   double z = 0.0;
   std::size_t beat_index = 0;
   double omega = kTwoPi / schedule.front().rr_seconds;
-  const BeatMorphology* morph = &select(schedule.front().type);
+  const Waves* waves = &select(schedule.front().type);
   bool annotated_this_beat = false;
 
   for (std::size_t k = 0; k < total_fine; ++k) {
     const double t = static_cast<double>(k) * dt;
     const double z0 = config.respiration_mv *
                       std::sin(kTwoPi * config.respiration_hz * t);
+    const double next_theta_unwrapped = theta + dt * omega;
     // RK4 on z; θ advances linearly within a beat so intermediate phases
-    // are exact.
-    const double th1 = theta;
-    const double th2 = wrap_phase(theta + 0.5 * dt * omega);
-    const double th3 = th2;
-    const double th4 = wrap_phase(theta + dt * omega);
-    const double k1 = z_derivative(th1, z, z0, omega, *morph);
-    const double k2 = z_derivative(th2, z + 0.5 * dt * k1, z0, omega, *morph);
-    const double k3 = z_derivative(th3, z + 0.5 * dt * k2, z0, omega, *morph);
-    const double k4 = z_derivative(th4, z + dt * k3, z0, omega, *morph);
+    // are exact.  Stages 2 and 3 share θ, hence one Gaussian sum.
+    const double g1 = gauss_sum(theta, *waves);
+    const double g23 = gauss_sum(wrap_phase(theta + 0.5 * dt * omega), *waves);
+    const double g4 = gauss_sum(wrap_phase(next_theta_unwrapped), *waves);
+    auto dz = [omega, z0](double g, double z_at) {
+      return g * omega - (z_at - z0);
+    };
+    const double k1 = dz(g1, z);
+    const double k2 = dz(g23, z + 0.5 * dt * k1);
+    const double k3 = dz(g23, z + 0.5 * dt * k2);
+    const double k4 = dz(g4, z + dt * k3);
     z += dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4);
-    fine[k] = z;
+    fine[k] = z * kOutputGainMv;
 
     // Annotate the R peak when the phase crosses zero.
-    const double next_theta_unwrapped = theta + dt * omega;
     if (!annotated_this_beat && theta < 0.0 && next_theta_unwrapped >= 0.0) {
       fine_beats.push_back({k, schedule[beat_index].type});
       annotated_this_beat = true;
@@ -129,15 +158,13 @@ SynthesizedEcg synthesize(const EcgSynConfig& config, double duration_seconds,
       if (beat_index + 1 < schedule.size()) {
         ++beat_index;
         omega = kTwoPi / schedule[beat_index].rr_seconds;
-        morph = &select(schedule[beat_index].type);
+        waves = &select(schedule[beat_index].type);
       }
       annotated_this_beat = false;
     } else {
       theta = next_theta_unwrapped;
     }
   }
-
-  for (double& v : fine) v *= kOutputGainMv;
 
   // Anti-alias and decimate to the output rate.
   SynthesizedEcg out;
@@ -147,10 +174,9 @@ SynthesizedEcg synthesize(const EcgSynConfig& config, double duration_seconds,
   } else {
     const double cutoff = 0.45 / static_cast<double>(config.oversample);
     const auto lowpass = dsp::design_lowpass(cutoff, 63);
-    const linalg::Vector filtered =
-        dsp::filter_same(linalg::Vector(std::move(fine)), lowpass);
-    out.signal_mv = dsp::decimate(
-        filtered, static_cast<std::size_t>(config.oversample));
+    out.signal_mv =
+        dsp::filter_decimate(linalg::Vector(std::move(fine)), lowpass,
+                             static_cast<std::size_t>(config.oversample));
   }
   out.beats.reserve(fine_beats.size());
   for (const BeatAnnotation& ann : fine_beats) {

@@ -164,7 +164,9 @@ EcgRecord generate_record(const RecordProfile& profile,
 }
 
 SyntheticDatabase::SyntheticDatabase(RecordConfig config, std::uint64_t seed)
-    : config_(config), seed_(seed), cache_(kRecordCount) {
+    : config_(config),
+      seed_(seed),
+      slots_(std::make_unique<Slot[]>(kRecordCount)) {
   validate(config_);
 }
 
@@ -173,18 +175,20 @@ std::size_t SyntheticDatabase::size() const noexcept { return kRecordCount; }
 const EcgRecord& SyntheticDatabase::record(std::size_t index) const {
   CSECG_CHECK(index < kRecordCount,
               "SyntheticDatabase: index " << index << " out of range");
-  // One lock covers check + fill; generation is deterministic per index,
-  // so contention only costs the losers a wait, never a different record.
-  const std::lock_guard<std::mutex> lock(cache_mutex_);
-  if (!cache_[index]) {
+  // The slot's lock covers check + fill; generation is deterministic per
+  // index, so contention only costs the losers a wait, never a different
+  // record, and workers on different records never wait for each other.
+  Slot& slot = slots_[index];
+  const std::lock_guard<std::mutex> lock(slot.mutex);
+  if (!slot.record) {
     const RecordProfile& profile = mitbih_surrogate_profiles()[index];
     // Per-record seed: SplitMix over (database seed, index).
     std::uint64_t s = seed_ + 0x9E3779B97F4A7C15ULL * (index + 1);
     const std::uint64_t record_seed = rng::splitmix64(s);
-    cache_[index] = std::make_unique<EcgRecord>(
+    slot.record = std::make_unique<EcgRecord>(
         generate_record(profile, config_, record_seed));
   }
-  return *cache_[index];
+  return *slot.record;
 }
 
 const std::string& SyntheticDatabase::name(std::size_t index) const {

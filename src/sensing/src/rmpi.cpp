@@ -1,5 +1,6 @@
 #include "csecg/sensing/rmpi.hpp"
 
+#include <array>
 #include <cmath>
 
 #include "csecg/common/check.hpp"
@@ -68,31 +69,53 @@ linalg::LinearOperator RmpiSimulator::effective_operator() const {
   return linalg::LinearOperator::from_matrix(effective_matrix());
 }
 
+namespace {
+
+// Integrates channels [first, first + W) side by side.  Each channel runs
+// the same acc·keep + chip·x chain, in the same order, as it would alone;
+// interleaving W independent chains only hides the add latency.
+template <std::size_t W>
+void integrate(const linalg::Matrix& chips, std::size_t first,
+               const linalg::Vector& x, double keep, double* out) {
+  std::array<const double*, W> rows;
+  for (std::size_t j = 0; j < W; ++j) rows[j] = chips.row(first + j);
+  std::array<double, W> acc{};
+  for (std::size_t k = 0; k < x.size(); ++k) {
+    const double xk = x[k];
+    for (std::size_t j = 0; j < W; ++j) {
+      acc[j] = acc[j] * keep + rows[j][k] * xk;
+    }
+  }
+  for (std::size_t j = 0; j < W; ++j) out[j] = acc[j];
+}
+
+}  // namespace
+
 linalg::Vector RmpiSimulator::measure_unquantized(
     const linalg::Vector& x) const {
   CSECG_CHECK(x.size() == config_.window,
               "RmpiSimulator::measure expected window of "
                   << config_.window << ", got " << x.size());
   const double keep = 1.0 - config_.integrator_leakage;
-  linalg::Vector y(config_.channels);
-  for (std::size_t c = 0; c < config_.channels; ++c) {
-    const double* chip_row = chips_.row(c);
-    double acc = 0.0;
-    for (std::size_t k = 0; k < config_.window; ++k) {
-      acc = acc * keep + chip_row[k] * x[k];
-    }
-    if (!std::isfinite(acc)) {
-      // A NaN integrator output means a NaN input sample — fail with the
-      // channel index instead of letting the ADC see it.  ±inf (saturated
-      // accumulation) is counted and left for the ADC to clamp.
-      CSECG_CHECK(!std::isnan(acc),
-                  "RmpiSimulator::measure: NaN integrator output on channel "
-                      << c);
-      static obs::Counter& nonfinite =
-          obs::counter("rmpi.nonfinite_integrator_outputs");
-      nonfinite.add();
-    }
-    y[c] = acc;
+  constexpr std::size_t kLanes = 8;
+  const std::size_t m = config_.channels;
+  linalg::Vector y(m);
+  std::size_t c = 0;
+  for (; c + kLanes <= m; c += kLanes) {
+    integrate<kLanes>(chips_, c, x, keep, y.data() + c);
+  }
+  for (; c < m; ++c) integrate<1>(chips_, c, x, keep, y.data() + c);
+  for (c = 0; c < m; ++c) {
+    if (std::isfinite(y[c])) continue;
+    // A NaN integrator output means a NaN input sample — fail with the
+    // (lowest) channel index instead of letting the ADC see it.  ±inf
+    // (saturated accumulation) is counted and left for the ADC to clamp.
+    CSECG_CHECK(!std::isnan(y[c]),
+                "RmpiSimulator::measure: NaN integrator output on channel "
+                    << c);
+    static obs::Counter& nonfinite =
+        obs::counter("rmpi.nonfinite_integrator_outputs");
+    nonfinite.add();
   }
   return y;
 }

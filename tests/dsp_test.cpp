@@ -361,22 +361,49 @@ TEST(Fir, FilterSameIdentityImpulse) {
   for (std::size_t i = 0; i < x.size(); ++i) EXPECT_DOUBLE_EQ(y[i], x[i]);
 }
 
-TEST(Fir, CircularConvolveImpulseShifts) {
-  const Vector x{1.0, 2.0, 3.0, 4.0};
-  const std::vector<double> h{0.0, 1.0};  // One-sample circular delay.
-  const Vector y = circular_convolve(x, h);
-  EXPECT_DOUBLE_EQ(y[0], 4.0);
-  EXPECT_DOUBLE_EQ(y[1], 1.0);
-  EXPECT_DOUBLE_EQ(y[2], 2.0);
-  EXPECT_DOUBLE_EQ(y[3], 3.0);
+// filter_same then every factor-th sample, the two-step form that
+// filter_decimate fuses.
+Vector filter_then_stride(const Vector& x, const std::vector<double>& h,
+                          std::size_t factor) {
+  const Vector full = filter_same(x, h);
+  Vector y((full.size() + factor - 1) / factor);
+  for (std::size_t j = 0; j < y.size(); ++j) y[j] = full[j * factor];
+  return y;
 }
 
-TEST(Fir, DecimateKeepsEveryKth) {
-  Vector x(10);
-  for (std::size_t i = 0; i < 10; ++i) x[i] = static_cast<double>(i);
-  const Vector y = decimate(x, 3);
-  EXPECT_EQ(y, (Vector{0.0, 3.0, 6.0, 9.0}));
-  EXPECT_THROW(decimate(x, 0), std::invalid_argument);
+TEST(Fir, FilterDecimateMatchesFilterSameThenStrideBitForBit) {
+  const auto h = design_lowpass(0.45 / 4.0, 63);
+  // Lengths that are and are not multiples of the factor, and shorter
+  // than the filter; exact zeros (both signs) and runs of them, which
+  // convolve skips rather than adds.
+  for (const std::size_t n : {1u, 7u, 40u, 61u, 64u, 1001u}) {
+    Vector x = random_signal(n, 90 + n);
+    for (std::size_t i = 0; i < n; i += 5) x[i] = 0.0;
+    for (std::size_t i = 3; i < n; i += 11) x[i] = -0.0;
+    for (std::size_t i = n / 2; i < std::min(n, n / 2 + 70); ++i) x[i] = 0.0;
+    for (const std::size_t factor : {1u, 2u, 3u, 4u, 7u}) {
+      EXPECT_EQ(bits_of(filter_decimate(x, h, factor)),
+                bits_of(filter_then_stride(x, h, factor)))
+          << "n = " << n << ", factor = " << factor;
+    }
+  }
+  // A short odd filter with a negative tap, where cancellation to zero
+  // can happen mid-sum.
+  const std::vector<double> short_h{0.25, -0.5, 0.25};
+  const Vector x{1.0, 2.0, 0.0, 3.0, 1.0, 0.0, 0.0, 4.0, 2.0, 1.0};
+  for (const std::size_t factor : {1u, 3u, 4u}) {
+    EXPECT_EQ(bits_of(filter_decimate(x, short_h, factor)),
+              bits_of(filter_then_stride(x, short_h, factor)));
+  }
+}
+
+TEST(Fir, FilterDecimateValidation) {
+  const std::vector<double> h{0.25, 0.5, 0.25};
+  EXPECT_THROW(filter_decimate(Vector{}, h, 2), std::invalid_argument);
+  EXPECT_THROW(filter_decimate(Vector{1.0}, {}, 2), std::invalid_argument);
+  EXPECT_THROW(filter_decimate(Vector{1.0}, {0.5, 0.5}, 2),
+               std::invalid_argument);
+  EXPECT_THROW(filter_decimate(Vector{1.0}, h, 0), std::invalid_argument);
 }
 
 TEST(Fir, MovingAverageConstantIsIdentity) {

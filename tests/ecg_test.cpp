@@ -2,9 +2,15 @@
 // synthesizer, noise models, digitization, and the synthetic database.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <ios>
 #include <set>
 #include <stdexcept>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include "csecg/ecg/beats.hpp"
 #include "csecg/ecg/ecgsyn.hpp"
@@ -417,6 +423,120 @@ TEST(Database, DifferentSeedDiffers) {
   const SyntheticDatabase db1(config, 1);
   const SyntheticDatabase db2(config, 2);
   EXPECT_NE(db1.record(5).samples, db2.record(5).samples);
+}
+
+// FNV-1a 64 over little-endian integers.
+class Fnv1a {
+ public:
+  void eat(std::uint64_t value, int bytes) {
+    for (int b = 0; b < bytes; ++b) {
+      h_ ^= (value >> (8 * b)) & 0xFFu;
+      h_ *= 0x100000001b3ULL;
+    }
+  }
+  // Each beat as its sample index (8 bytes) then its type code (1 byte).
+  void eat(const std::vector<BeatAnnotation>& beats) {
+    for (const BeatAnnotation& beat : beats) {
+      eat(beat.sample, 8);
+      eat(static_cast<std::uint64_t>(beat.type), 1);
+    }
+  }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 0xcbf29ce484222325ULL;
+};
+
+// A record's samples (4 bytes each), then its beats.
+std::uint64_t record_hash(const EcgRecord& record) {
+  Fnv1a h;
+  for (const std::int32_t s : record.samples) {
+    h.eat(static_cast<std::uint32_t>(s), 4);
+  }
+  h.eat(record.beats);
+  return h.value();
+}
+
+// Pins the seed-2015 database every experiment and benchmark runs on: a
+// normal record, a heavy-ectopy record and an AF record, full length.  A
+// change that moves one record byte fails here; a deliberate change to
+// the surrogate data updates these hashes and says so.
+TEST(Database, GoldenRecordHashesSeed2015) {
+  const SyntheticDatabase db({}, 2015);
+  struct Golden {
+    std::size_t index;
+    const char* name;
+    std::size_t beats;
+    std::uint64_t hash;
+  };
+  for (const Golden& g : {Golden{0, "100", 55, 0x4f6cb2327c81406fULL},
+                          Golden{6, "106", 90, 0x5b6028b49b2c0069ULL},
+                          Golden{25, "202", 78, 0x7e1a7ddab8f2cd56ULL}}) {
+    const EcgRecord& record = db.record(g.index);
+    EXPECT_EQ(record.name, g.name);
+    EXPECT_EQ(record.size(), 21600u) << g.name;
+    EXPECT_EQ(record.beats.size(), g.beats) << g.name;
+    EXPECT_EQ(record_hash(record), g.hash)
+        << g.name << ": 0x" << std::hex << record_hash(record);
+  }
+}
+
+// The synthesizer's own output, before noise and digitization, bit for
+// bit (each double's 8 bytes, then the beats): digitization rounds to
+// 1/200 mV, so a last-bit change in synthesize can leave the record
+// hashes above unchanged.  Hashes taken before the synthesis speed-ups.
+TEST(EcgSyn, GoldenSignalBitsSeed2015) {
+  const std::pair<std::size_t, std::uint64_t> golden[] = {
+      {0, 0xae8d78e266b7d904ULL},
+      {6, 0xca681af0653c1ef1ULL},
+      {25, 0x9b837cf1a2921630ULL}};
+  for (const auto& [index, hash] : golden) {
+    const RecordProfile& profile = mitbih_surrogate_profiles()[index];
+    EcgSynConfig config;
+    config.rhythm = profile.rhythm;
+    config.amplitude_scale = profile.amplitude_scale;
+    config.width_scale = profile.width_scale;
+    rng::Xoshiro256 gen(2015);
+    const SynthesizedEcg out = synthesize(config, 20.0, gen);
+    Fnv1a h;
+    for (const double v : out.signal_mv) {
+      h.eat(std::bit_cast<std::uint64_t>(v), 8);
+    }
+    h.eat(out.beats);
+    EXPECT_EQ(h.value(), hash)
+        << profile.name << ": 0x" << std::hex << h.value();
+  }
+}
+
+TEST(Database, ConcurrentFirstAccessMatchesSerial) {
+  RecordConfig config;
+  config.duration_seconds = 5.0;
+  constexpr std::size_t kRecords = 8;
+  constexpr std::size_t kThreads = 4;
+  const SyntheticDatabase serial(config, 11);
+  const SyntheticDatabase shared(config, 11);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    // Each thread walks the records from a different start, odd threads
+    // backwards, so first accesses collide and interleave.
+    threads.emplace_back([&shared, t] {
+      for (std::size_t i = 0; i < kRecords; ++i) {
+        const std::size_t step = (t % 2 == 0) ? i : kRecords - 1 - i;
+        shared.record((step + 2 * t) % kRecords);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (std::size_t r = 0; r < kRecords; ++r) {
+    const EcgRecord& a = serial.record(r);
+    const EcgRecord& b = shared.record(r);
+    EXPECT_EQ(a.samples, b.samples) << r;
+    ASSERT_EQ(a.beats.size(), b.beats.size()) << r;
+    for (std::size_t i = 0; i < a.beats.size(); ++i) {
+      EXPECT_EQ(a.beats[i].sample, b.beats[i].sample) << r;
+      EXPECT_EQ(a.beats[i].type, b.beats[i].type) << r;
+    }
+  }
 }
 
 TEST(Windows, ExtractionCoversRecord) {

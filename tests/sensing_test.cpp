@@ -2,11 +2,15 @@
 // channel box guarantee, and RMPI simulator consistency with y = Φx.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "csecg/linalg/matrix.hpp"
+#include "csecg/obs/registry.hpp"
 #include "csecg/rng/distributions.hpp"
 #include "csecg/rng/xoshiro.hpp"
 #include "csecg/sensing/lowres_channel.hpp"
@@ -416,6 +420,68 @@ TEST(Rmpi, MeasureRejectsWrongLength) {
   config.window = 64;
   const RmpiSimulator rmpi(config);
   EXPECT_THROW(rmpi.measure(Vector(63)), std::invalid_argument);
+}
+
+TEST(Rmpi, InterleavedIntegratorMatchesSerialChainBitForBit) {
+  // Channel counts below, at and past the interleave width, with and
+  // without leakage, against one serial acc·keep + chip·x chain each.
+  for (const std::size_t m : {1u, 7u, 8u, 13u, 96u}) {
+    for (const double leakage : {0.0, 0.01}) {
+      RmpiConfig config;
+      config.channels = m;
+      config.window = 128;
+      config.integrator_leakage = leakage;
+      const RmpiSimulator rmpi(config);
+      rng::Xoshiro256 gen(m);
+      Vector x(config.window);
+      for (auto& v : x) v = rng::uniform(gen, -150.0, 150.0);
+      const Vector y = rmpi.measure_unquantized(x);
+      const double keep = 1.0 - leakage;
+      for (std::size_t c = 0; c < m; ++c) {
+        double acc = 0.0;
+        for (std::size_t k = 0; k < config.window; ++k) {
+          acc = acc * keep + rmpi.chips()(c, k) * x[k];
+        }
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(y[c]),
+                  std::bit_cast<std::uint64_t>(acc))
+            << "m = " << m << ", leakage = " << leakage << ", channel " << c;
+      }
+    }
+  }
+}
+
+TEST(Rmpi, NaNIntegratorNamesLowestChannelAndCountsInfBelowIt) {
+  RmpiConfig config;
+  config.channels = 24;
+  config.window = 32;
+  config.adc_bits = 0;
+  const RmpiSimulator rmpi(config);
+  // +inf at samples 0 and 1: a channel whose first two chips agree
+  // saturates to ±inf, one whose chips differ forms inf − inf = NaN.
+  Vector x(config.window, 1.0);
+  x[0] = x[1] = std::numeric_limits<double>::infinity();
+  std::size_t first_nan = config.channels;
+  for (std::size_t c = 0; c < config.channels; ++c) {
+    if (rmpi.chips()(c, 0) != rmpi.chips()(c, 1)) {
+      first_nan = c;
+      break;
+    }
+  }
+  ASSERT_GT(first_nan, 0u) << "pick a chip seed with an inf channel first";
+  ASSERT_LT(first_nan, config.channels);
+  obs::Counter& nonfinite = obs::counter("rmpi.nonfinite_integrator_outputs");
+  const std::uint64_t before = nonfinite.value();
+  try {
+    rmpi.measure(x);
+    FAIL() << "a NaN integrator output must throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "NaN integrator output on channel " +
+                  std::to_string(first_nan)),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(nonfinite.value() - before, first_nan);
 }
 
 TEST(Rmpi, ExplicitAdcRangeHonored) {
