@@ -19,18 +19,19 @@ int main() {
   core::FrontEndConfig base;
   const auto lowres_codec = core::train_lowres_codec(base, database);
 
-  std::printf("ensemble,hybrid_snr_db,cs_snr_db\n");
+  std::vector<core::FrontEndConfig> configs;
   for (sensing::Ensemble ensemble :
        {sensing::Ensemble::kRademacher, sensing::Ensemble::kGaussian,
         sensing::Ensemble::kSparseBinary}) {
-    core::FrontEndConfig config = base;
-    config.ensemble = ensemble;
-    const core::Codec codec(config, lowres_codec);
-    const auto hybrid = core::run_database(codec, database, records, windows,
-                                           core::DecodeMode::kHybrid);
-    const auto normal = core::run_database(codec, database, records, windows,
-                                           core::DecodeMode::kNormalCs);
-    std::printf("%s,%.2f,%.2f\n", sensing::ensemble_name(ensemble).c_str(),
+    configs.push_back(base);
+    configs.back().ensemble = ensemble;
+  }
+  const auto points = bench::sweep(configs, lowres_codec, records, windows);
+
+  std::printf("ensemble,hybrid_snr_db,cs_snr_db\n");
+  for (const auto& [config, hybrid, normal] : points) {
+    std::printf("%s,%.2f,%.2f\n",
+                sensing::ensemble_name(config.ensemble).c_str(),
                 core::averaged_snr(hybrid), core::averaged_snr(normal));
   }
   std::printf("# expectation: Rademacher ~ Gaussian (universality); "

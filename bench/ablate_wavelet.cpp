@@ -20,20 +20,20 @@ int main() {
   core::FrontEndConfig base;
   const auto lowres_codec = core::train_lowres_codec(base, database);
 
-  std::printf("wavelet,hybrid_snr_db,cs_snr_db\n");
+  std::vector<core::FrontEndConfig> configs;
   for (dsp::WaveletFamily family :
        {dsp::WaveletFamily::kHaar, dsp::WaveletFamily::kDb2,
         dsp::WaveletFamily::kDb4, dsp::WaveletFamily::kDb8,
         dsp::WaveletFamily::kSym4, dsp::WaveletFamily::kSym8,
         dsp::WaveletFamily::kCoif2}) {
-    core::FrontEndConfig config = base;
-    config.wavelet = family;
-    const core::Codec codec(config, lowres_codec);
-    const auto hybrid = core::run_database(codec, database, records, windows,
-                                           core::DecodeMode::kHybrid);
-    const auto normal = core::run_database(codec, database, records, windows,
-                                           core::DecodeMode::kNormalCs);
-    std::printf("%s,%.2f,%.2f\n", dsp::wavelet_name(family).c_str(),
+    configs.push_back(base);
+    configs.back().wavelet = family;
+  }
+  const auto points = bench::sweep(configs, lowres_codec, records, windows);
+
+  std::printf("wavelet,hybrid_snr_db,cs_snr_db\n");
+  for (const auto& [config, hybrid, normal] : points) {
+    std::printf("%s,%.2f,%.2f\n", dsp::wavelet_name(config.wavelet).c_str(),
                 core::averaged_snr(hybrid), core::averaged_snr(normal));
   }
   std::printf("# expectation: longer Daubechies/Symlet filters beat Haar "

@@ -7,9 +7,12 @@
 #pragma once
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <string>
+#include <vector>
 
 #include "csecg/core/frontend.hpp"
 #include "csecg/core/runner.hpp"
@@ -17,13 +20,23 @@
 
 namespace csecg::bench {
 
+/// The positive integer in environment variable `name`, clamped to
+/// `max_value`, or `fallback` when unset.  Any other value prints one line
+/// to stderr and exits 1, so a mistyped budget never runs the default.
 inline std::size_t env_or(const char* name, std::size_t fallback,
                           std::size_t max_value) {
   const char* value = std::getenv(name);
   if (value == nullptr) return fallback;
-  const long parsed = std::strtol(value, nullptr, 10);
-  if (parsed < 1) return fallback;
-  return std::min(static_cast<std::size_t>(parsed), max_value);
+  const char* end = value + std::strlen(value);
+  std::size_t parsed = 0;
+  const auto [stop, error] = std::from_chars(value, end, parsed);
+  if (error == std::errc::result_out_of_range) parsed = max_value;
+  if (stop != end || error == std::errc::invalid_argument || parsed < 1) {
+    std::fprintf(stderr, "%s=\"%s\": expected a positive integer\n", name,
+                 value);
+    std::exit(1);
+  }
+  return std::min(parsed, max_value);
 }
 
 inline std::size_t records_budget() { return env_or("CSECG_RECORDS", 8, 48); }
@@ -74,6 +87,69 @@ inline double converged_fraction(
   return windows == 0 ? 0.0
                       : static_cast<double>(converged) /
                             static_cast<double>(windows);
+}
+
+/// One design point decoded in both modes over the first records of
+/// shared_database().
+struct DesignPoint {
+  core::FrontEndConfig config;
+  std::vector<core::RecordReport> hybrid;
+  std::vector<core::RecordReport> normal;
+
+  /// The reports of `mode` (kHybrid or kNormalCs).
+  const std::vector<core::RecordReport>& reports(core::DecodeMode mode) const {
+    return mode == core::DecodeMode::kHybrid ? hybrid : normal;
+  }
+};
+
+/// Decodes `records` × `windows` of shared_database() at every config in
+/// hybrid and in normal-CS mode, one codec per config and each (config,
+/// mode) point once.  Figures, headline search and ablations read it.
+inline std::vector<DesignPoint> sweep(
+    const std::vector<core::FrontEndConfig>& configs,
+    const coding::DeltaHuffmanCodec& lowres_codec, std::size_t records,
+    std::size_t windows) {
+  const auto& database = shared_database();
+  std::vector<DesignPoint> points;
+  points.reserve(configs.size());
+  for (const auto& config : configs) {
+    const core::Codec codec(config, lowres_codec);
+    points.push_back(
+        {config,
+         core::run_database(codec, database, records, windows,
+                            core::DecodeMode::kHybrid),
+         core::run_database(codec, database, records, windows,
+                            core::DecodeMode::kNormalCs)});
+  }
+  return points;
+}
+
+/// `base` at each channel count of `ms`, in order.
+inline std::vector<core::FrontEndConfig> at_measurements(
+    const core::FrontEndConfig& base, const std::vector<std::size_t>& ms) {
+  std::vector<core::FrontEndConfig> configs(ms.size(), base);
+  for (std::size_t i = 0; i < ms.size(); ++i) configs[i].measurements = ms[i];
+  return configs;
+}
+
+/// The §VI channel-count grid that the headline min-m search walks.
+inline const std::vector<std::size_t>& headline_m_grid() {
+  static const std::vector<std::size_t> grid = {
+      16, 24, 32, 48, 64, 96, 128, 160, 192, 240, 288, 352, 448, 512};
+  return grid;
+}
+
+/// Walks `points` in order and returns the first whose averaged SNR in
+/// `mode` reaches `target_db`; the last point if none does.  On a sweep
+/// over headline_m_grid() that is the §VI min-m search, with m = 512 as
+/// the fallback.  `points` must not be empty.
+inline const DesignPoint& min_m(const std::vector<DesignPoint>& points,
+                                double target_db, core::DecodeMode mode) {
+  const auto found = std::find_if(
+      points.begin(), points.end(), [&](const DesignPoint& point) {
+        return core::averaged_snr(point.reports(mode)) >= target_db;
+      });
+  return found == points.end() ? points.back() : *found;
 }
 
 /// Prints the bench banner.  `records` × `windows` is the workload the

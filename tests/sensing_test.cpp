@@ -130,6 +130,18 @@ TEST(Chipping, MatchesRademacherEnsemble) {
   EXPECT_EQ(chipping_sequences(12, 48, 5), make_sensing_matrix(config));
 }
 
+TEST(ChipPrefixProperty, SmallBankIsPrefixOfLargeBank) {
+  // Row-prefix stability: the m-channel chip matrix is the first m rows of
+  // the m_max-channel one.
+  const auto big = sensing::chipping_sequences(64, 128, 42);
+  const auto small = sensing::chipping_sequences(16, 128, 42);
+  for (std::size_t i = 0; i < 16; ++i) {
+    for (std::size_t j = 0; j < 128; ++j) {
+      ASSERT_EQ(small(i, j), big(i, j));
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Quantizer.
 
