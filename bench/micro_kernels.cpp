@@ -19,6 +19,7 @@
 #include "csecg/rng/distributions.hpp"
 #include "csecg/rng/xoshiro.hpp"
 #include "csecg/sensing/rmpi.hpp"
+#include "sign_packed.hpp"
 
 namespace {
 
@@ -165,9 +166,9 @@ BENCHMARK(BM_GemvTransposeSweep)
     ->Args({256, 512})
     ->Args({512, 512});
 
-// The same products through LinearOperator::from_matrix on a ±1 matrix,
-// which takes the sign-packed table-lookup kernels (the decoder's Φ at the
-// hybrid m = 96 and normal-CS m = 256 operating points).
+// The same products on a ±1 matrix through the sign-packed table-lookup
+// kernels that LinearOperator::from_matrix picks for it (the decoder's Φ
+// at the hybrid m = 96 and normal-CS m = 256 operating points).
 linalg::Matrix sign_matrix(std::size_t rows, std::size_t cols) {
   rng::Xoshiro256 g(7);
   linalg::Matrix a(rows, cols);
@@ -179,39 +180,59 @@ linalg::Matrix sign_matrix(std::size_t rows, std::size_t cols) {
   return a;
 }
 
-void BM_SignPackedGemv(benchmark::State& state) {
+// Each sign-packed kernel runs twice: on the kernel this CPU selects
+// (`selected`, named in the run's context as sign_packed_kernel) and on
+// the portable table kernel, which every CPU runs and which the selected
+// one must match bit for bit.
+void BM_SignPackedGemv(benchmark::State& state,
+                       linalg::detail::LookupKernel kernel) {
   const auto m = static_cast<std::size_t>(state.range(0));
   const auto n = static_cast<std::size_t>(state.range(1));
-  const linalg::LinearOperator phi =
-      linalg::LinearOperator::from_matrix(sign_matrix(m, n));
+  const auto phi = linalg::detail::SignPackedMatrix::pack(sign_matrix(m, n),
+                                                          kernel);
   linalg::Vector x(n, 1.0);
   linalg::Vector y(m);
   for (auto _ : state) {
-    phi.apply_into(x, y);
+    phi->multiply_into(x, y);
     benchmark::DoNotOptimize(y.data());
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(2 * m * n));
 }
-BENCHMARK(BM_SignPackedGemv)->Args({96, 512})->Args({256, 512});
+BENCHMARK_CAPTURE(BM_SignPackedGemv, selected,
+                  linalg::detail::selected_kernel())
+    ->Args({96, 512})
+    ->Args({256, 512});
+BENCHMARK_CAPTURE(BM_SignPackedGemv, portable,
+                  linalg::detail::LookupKernel::kPortable)
+    ->Args({96, 512})
+    ->Args({256, 512});
 
-void BM_SignPackedGemvTranspose(benchmark::State& state) {
+void BM_SignPackedGemvTranspose(benchmark::State& state,
+                                linalg::detail::LookupKernel kernel) {
   const auto m = static_cast<std::size_t>(state.range(0));
   const auto n = static_cast<std::size_t>(state.range(1));
-  const linalg::LinearOperator phi =
-      linalg::LinearOperator::from_matrix(sign_matrix(m, n));
+  const auto phi = linalg::detail::SignPackedMatrix::pack(sign_matrix(m, n),
+                                                          kernel);
   linalg::Vector y(m, 1.0);
   linalg::Vector x(n);
   for (auto _ : state) {
-    phi.apply_adjoint_into(y, x);
+    phi->multiply_transpose_into(y, x);
     benchmark::DoNotOptimize(x.data());
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(2 * m * n));
 }
-BENCHMARK(BM_SignPackedGemvTranspose)->Args({96, 512})->Args({256, 512});
+BENCHMARK_CAPTURE(BM_SignPackedGemvTranspose, selected,
+                  linalg::detail::selected_kernel())
+    ->Args({96, 512})
+    ->Args({256, 512});
+BENCHMARK_CAPTURE(BM_SignPackedGemvTranspose, portable,
+                  linalg::detail::LookupKernel::kPortable)
+    ->Args({96, 512})
+    ->Args({256, 512});
 
 // ThreadPool scaling on an embarrassingly parallel compute-bound loop.
 // On a single-core host the >1-thread variants measure the pool's
@@ -261,4 +282,13 @@ BENCHMARK(BM_ThreadPoolDispatchOverhead)
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  benchmark::AddCustomContext(
+      "sign_packed_kernel",
+      linalg::detail::kernel_name(linalg::detail::selected_kernel()));
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

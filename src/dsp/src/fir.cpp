@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numbers>
+#include <utility>
 
 #include "csecg/common/check.hpp"
 
@@ -61,22 +62,60 @@ linalg::Vector filter_same(const linalg::Vector& x,
 linalg::Vector filter_decimate(const linalg::Vector& x,
                                const std::vector<double>& h,
                                std::size_t factor) {
-  CSECG_CHECK(!x.empty() && h.size() % 2 == 1 && factor >= 1,
+  FirDecimator decimator(h, factor, x.size());
+  for (const double sample : x) decimator.push(sample);
+  return decimator.finish();
+}
+
+FirDecimator::FirDecimator(const std::vector<double>& h, std::size_t factor,
+                           std::size_t inputs)
+    : reversed_(h.rbegin(), h.rend()),
+      factor_(factor),
+      inputs_(inputs),
+      ring_(2 * h.size(), 0.0),
+      due_in_((h.size() - 1) / 2) {
+  CSECG_CHECK(inputs > 0 && h.size() % 2 == 1 && factor >= 1,
               "filter_decimate: empty input, even-length filter or factor 0");
-  const std::size_t delay = (h.size() - 1) / 2;
-  linalg::Vector y((x.size() + factor - 1) / factor);
-  for (std::size_t j = 0; j < y.size(); ++j) {
-    // filter_same's sample j·factor is convolve's full[p]: the sum of
-    // x[i]·h[p − i] over ascending i, skipping x[i] == 0, from 0.0.
-    const std::size_t p = j * factor + delay;
-    const std::size_t last = std::min(p, x.size() - 1);
-    double acc = 0.0;
-    for (std::size_t i = p > 2 * delay ? p - 2 * delay : 0; i <= last; ++i) {
-      if (x[i] != 0.0) acc += x[i] * h[p - i];
-    }
-    y[j] = acc;
+  out_.reserve((inputs + factor - 1) / factor);
+}
+
+void FirDecimator::push(double sample) {
+  CSECG_CHECK(pushed_ < inputs_,
+              "FirDecimator: more than " << inputs_ << " samples pushed");
+  advance(sample);
+}
+
+void FirDecimator::advance(double sample) {
+  const std::size_t taps = reversed_.size();
+  ring_[slot_] = sample;
+  ring_[slot_ + taps] = sample;
+  // The last `taps` samples, oldest first: ring_[slot_ + 1 .. slot_ + taps].
+  const double* window = ring_.data() + slot_ + 1;
+  slot_ = slot_ + 1 == taps ? 0 : slot_ + 1;
+  ++pushed_;
+  if (due_in_ > 0) {
+    --due_in_;
+    return;
   }
-  return y;
+  due_in_ = factor_ - 1;
+  // This sample is p = j·factor + delay, and filter_same's sample p − delay
+  // is convolve's full[p]: the sum of x[i]·h[p − i] over ascending i,
+  // skipping x[i] == 0, from 0.0.
+  double acc = 0.0;
+  for (std::size_t t = 0; t < taps; ++t) {
+    if (window[t] != 0.0) acc += window[t] * reversed_[t];
+  }
+  out_.push_back(acc);
+}
+
+linalg::Vector FirDecimator::finish() {
+  CSECG_CHECK(pushed_ == inputs_, "FirDecimator: " << pushed_ << " of "
+                                                   << inputs_
+                                                   << " samples pushed");
+  // The outputs whose window reaches past the last input read zeros there.
+  const std::size_t outputs = (inputs_ + factor_ - 1) / factor_;
+  while (out_.size() < outputs) advance(0.0);
+  return linalg::Vector(std::move(out_));
 }
 
 linalg::Vector moving_average(const linalg::Vector& x, std::size_t window) {

@@ -3,6 +3,8 @@
 #include <array>
 #include <cmath>
 #include <numbers>
+#include <optional>
+#include <vector>
 
 #include "csecg/common/check.hpp"
 #include "csecg/dsp/fir.hpp"
@@ -115,7 +117,18 @@ SynthesizedEcg synthesize(const EcgSynConfig& config, double duration_seconds,
     return waves_normal;
   };
 
-  std::vector<double> fine(total_fine);
+  // An oversampled signal is anti-aliased and decimated as it is
+  // integrated, so only the filter's last 63 fine samples are held;
+  // otherwise the fine grid is the output.
+  const auto factor = static_cast<std::size_t>(config.oversample);
+  std::optional<dsp::FirDecimator> decimator;
+  std::vector<double> fine;
+  if (factor > 1) {
+    const double cutoff = 0.45 / static_cast<double>(factor);
+    decimator.emplace(dsp::design_lowpass(cutoff, 63), factor, total_fine);
+  } else {
+    fine.reserve(total_fine);
+  }
   std::vector<BeatAnnotation> fine_beats;
 
   // Start mid-diastole so the window does not open on a QRS complex.
@@ -144,7 +157,11 @@ SynthesizedEcg synthesize(const EcgSynConfig& config, double duration_seconds,
     const double k3 = dz(g23, z + 0.5 * dt * k2);
     const double k4 = dz(g4, z + dt * k3);
     z += dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4);
-    fine[k] = z * kOutputGainMv;
+    if (decimator) {
+      decimator->push(z * kOutputGainMv);
+    } else {
+      fine.push_back(z * kOutputGainMv);
+    }
 
     // Annotate the R peak when the phase crosses zero.
     if (!annotated_this_beat && theta < 0.0 && next_theta_unwrapped >= 0.0) {
@@ -166,22 +183,14 @@ SynthesizedEcg synthesize(const EcgSynConfig& config, double duration_seconds,
     }
   }
 
-  // Anti-alias and decimate to the output rate.
   SynthesizedEcg out;
   out.fs_hz = config.fs_hz;
-  if (config.oversample == 1) {
-    out.signal_mv = linalg::Vector(std::move(fine));
-  } else {
-    const double cutoff = 0.45 / static_cast<double>(config.oversample);
-    const auto lowpass = dsp::design_lowpass(cutoff, 63);
-    out.signal_mv =
-        dsp::filter_decimate(linalg::Vector(std::move(fine)), lowpass,
-                             static_cast<std::size_t>(config.oversample));
-  }
+  out.signal_mv =
+      decimator ? decimator->finish() : linalg::Vector(std::move(fine));
   out.beats.reserve(fine_beats.size());
   for (const BeatAnnotation& ann : fine_beats) {
     BeatAnnotation coarse = ann;
-    coarse.sample /= static_cast<std::size_t>(config.oversample);
+    coarse.sample /= factor;
     if (coarse.sample < out.signal_mv.size()) out.beats.push_back(coarse);
   }
   return out;

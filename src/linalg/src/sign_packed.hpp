@@ -5,8 +5,11 @@
 // entries selects one of the 16 signed sums of four inputs.  The kernels
 // build those 16-entry tables from the input vector, then each output is a
 // run of table lookups, each indexed by one byte holding a group's four
-// sign bits.  Internal to LinearOperator::from_matrix, which picks this
-// representation whenever pack() succeeds.
+// sign bits.  Both products run one lookup kernel over one layout: table
+// k's sign bytes for every output sit side by side, so eight outputs'
+// lookups are one AVX-512 two-source permute where the CPU has AVX-512F
+// (DESIGN.md §6).  Internal to LinearOperator::from_matrix, which picks
+// this representation whenever pack() succeeds.
 #pragma once
 
 #include <cstddef>
@@ -20,11 +23,28 @@
 
 namespace csecg::linalg::detail {
 
+/// The table-lookup kernels a SignPackedMatrix can run on.  Both give the
+/// same bits for every input; kAvx512 needs a CPU with AVX-512F.
+enum class LookupKernel { kPortable, kAvx512 };
+
+/// kAvx512 where this CPU supports AVX-512F, else kPortable; asked of the
+/// CPU once per process.
+LookupKernel selected_kernel();
+
+/// Whether this CPU (and this build) can run `kernel`.
+bool kernel_supported(LookupKernel kernel);
+
+/// "avx512" or "portable".
+const char* kernel_name(LookupKernel kernel);
+
 class SignPackedMatrix {
  public:
   /// Packs `a` if every column j is ±c_j for one finite c_j > 0;
-  /// std::nullopt otherwise (zero entries, mixed magnitudes, NaN).
-  static std::optional<SignPackedMatrix> pack(const Matrix& a);
+  /// std::nullopt otherwise (zero entries, mixed magnitudes, NaN).  The
+  /// products run on `kernel`, which must be supported; callers other than
+  /// the kernel tests and benchmarks take the default.
+  static std::optional<SignPackedMatrix> pack(
+      const Matrix& a, LookupKernel kernel = selected_kernel());
 
   /// y ← A·x (resized to m).  Sums in a different order from
   /// linalg::multiply_into, so results agree to rounding only.  A non-empty
@@ -42,20 +62,21 @@ class SignPackedMatrix {
                                std::span<const std::uint8_t> keep = {}) const;
 
  private:
-  SignPackedMatrix(std::size_t m, std::size_t n);
+  SignPackedMatrix(std::size_t m, std::size_t n, LookupKernel kernel);
 
   std::size_t m_ = 0;
   std::size_t n_ = 0;
+  LookupKernel kernel_ = LookupKernel::kPortable;
   std::vector<double> scale_;  ///< c_j, one per column.
   bool unit_scales_ = true;    ///< Every c_j is 1 (a ±1 matrix).
-  /// Φ layout: byte g of row i (row_stride_ bytes per row) holds the signs
+  /// Φ layout, group-major: byte g·group_stride_ + i holds row i's signs
   /// of columns 4g..4g+3, bit k set = column 4g+k negative.
-  std::size_t row_stride_ = 0;
-  std::vector<std::uint8_t> by_row_;
-  /// Φᵀ layout: byte b of column j (column_stride_ bytes per column) holds
-  /// the signs of rows 4b..4b+3; byte m/4 holds the m % 4 tail rows.
-  std::size_t column_stride_ = 0;
-  std::vector<std::uint8_t> by_column_;
+  std::size_t group_stride_ = 0;
+  std::vector<std::uint8_t> by_group_;
+  /// Φᵀ layout, block-major: byte b·block_stride_ + j holds column j's
+  /// signs of rows 4b..4b+3; block m/4 holds the m % 4 tail rows.
+  std::size_t block_stride_ = 0;
+  std::vector<std::uint8_t> by_block_;
 };
 
 }  // namespace csecg::linalg::detail

@@ -406,6 +406,17 @@ TEST(Fir, FilterDecimateValidation) {
   EXPECT_THROW(filter_decimate(Vector{1.0}, h, 0), std::invalid_argument);
 }
 
+TEST(Fir, FirDecimatorChecksItsSampleCount) {
+  const std::vector<double> h{0.25, 0.5, 0.25};
+  FirDecimator early(h, 2, 3);
+  early.push(1.0);
+  EXPECT_THROW(early.finish(), std::invalid_argument);
+  FirDecimator full(h, 2, 1);
+  full.push(1.0);
+  EXPECT_THROW(full.push(2.0), std::invalid_argument);
+  EXPECT_EQ(full.finish().size(), 1u);
+}
+
 TEST(Fir, MovingAverageConstantIsIdentity) {
   const Vector x(20, 3.5);
   const Vector y = moving_average(x, 5);

@@ -6,6 +6,8 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -573,6 +575,158 @@ TEST(RowMaskedOperator, RejectsWrongMaskLength) {
   const LinearOperator op = LinearOperator::from_matrix(sign_matrix(8, 4, 1));
   EXPECT_THROW(op.with_row_mask(std::vector<std::uint8_t>(7, 1)),
                std::invalid_argument);
+}
+
+// The AVX-512 lookup kernel against the portable one, which is the
+// reference: SignPackedMatrix::pack(a, kernel) builds one matrix per
+// kernel, and every product must agree byte for byte.
+
+/// Skips the calling test on a CPU without AVX-512F, where only the
+/// portable kernel runs.
+#define SKIP_WITHOUT_AVX512()                                              \
+  if (!detail::kernel_supported(detail::LookupKernel::kAvx512)) {          \
+    GTEST_SKIP() << "this CPU has no AVX-512F: only the portable "          \
+                    "sign-packed kernel runs here";                         \
+  }
+
+/// The ±1 matrix and its leaky form, column j scaled by 0.99^(n−1−j).
+std::vector<Matrix> unit_and_leaky(std::size_t m, std::size_t n,
+                                   std::uint64_t seed) {
+  Matrix leaky = sign_matrix(m, n, seed);
+  for (std::size_t j = 0; j < n; ++j) {
+    const double w = std::pow(0.99, static_cast<double>(n - 1 - j));
+    for (std::size_t i = 0; i < m; ++i) leaky(i, j) *= w;
+  }
+  return {sign_matrix(m, n, seed), leaky};
+}
+
+/// No mask, one lost row, lost runs at the start and at the end, a lost
+/// 32-row packet (as a lossy link drops) and every row lost.
+std::vector<std::vector<std::uint8_t>> link_row_masks(std::size_t m) {
+  std::vector<std::vector<std::uint8_t>> masks{{}};
+  auto lose = [m](std::size_t first, std::size_t count) {
+    std::vector<std::uint8_t> keep(m, 1);
+    for (std::size_t i = first; i < std::min(first + count, m); ++i) {
+      keep[i] = 0;
+    }
+    return keep;
+  };
+  masks.push_back(lose(m / 2, 1));
+  masks.push_back(lose(0, (m + 2) / 3));
+  masks.push_back(lose(m - (m + 2) / 3, m));
+  masks.push_back(lose(m >= 64 ? 32 : 0, 32));
+  masks.push_back(lose(0, m));
+  return masks;
+}
+
+/// Both products of the two kernels on one input pair, compared by
+/// `same` entry by entry.
+template <typename Same>
+void expect_kernels_agree(const Matrix& a, const Vector& x, const Vector& q,
+                          Same same) {
+  const auto avx512 = detail::SignPackedMatrix::pack(
+      a, detail::LookupKernel::kAvx512);
+  const auto portable = detail::SignPackedMatrix::pack(
+      a, detail::LookupKernel::kPortable);
+  ASSERT_TRUE(avx512.has_value() && portable.has_value());
+  for (const auto& keep : link_row_masks(a.rows())) {
+    Vector fast;
+    Vector reference;
+    avx512->multiply_into(x, fast, keep);
+    portable->multiply_into(x, reference, keep);
+    ASSERT_EQ(fast.size(), reference.size());
+    for (std::size_t i = 0; i < fast.size(); ++i) {
+      EXPECT_TRUE(same(fast[i], reference[i]))
+          << a.rows() << "x" << a.cols() << " mask " << keep.size()
+          << " forward row " << i << ": " << fast[i] << " vs "
+          << reference[i];
+    }
+    avx512->multiply_transpose_into(q, fast, keep);
+    portable->multiply_transpose_into(q, reference, keep);
+    ASSERT_EQ(fast.size(), reference.size());
+    for (std::size_t j = 0; j < fast.size(); ++j) {
+      EXPECT_TRUE(same(fast[j], reference[j]))
+          << a.rows() << "x" << a.cols() << " mask " << keep.size()
+          << " adjoint column " << j << ": " << fast[j] << " vs "
+          << reference[j];
+    }
+  }
+}
+
+bool same_bytes(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+TEST(SignPackedKernels, Avx512MatchesPortableBitForBit) {
+  SKIP_WITHOUT_AVX512();
+  // m and n straddle the eight-wide lane vectors, the 32-output passes and
+  // the four-row blocks, and reach the decoder's 96×512 and 256×512.
+  for (const std::size_t m : {1, 3, 5, 8, 9, 37, 87, 95, 96, 97, 256}) {
+    for (const std::size_t n : {1, 5, 33, 130, 510, 512}) {
+      for (const Matrix& a : unit_and_leaky(m, n, 500 + 7 * m + n)) {
+        expect_kernels_agree(a, random_vector(n, 600 + m),
+                             random_vector(m, 700 + n), same_bytes);
+      }
+    }
+  }
+}
+
+TEST(SignPackedKernels, SignedZerosAndSubnormalsBitForBit) {
+  SKIP_WITHOUT_AVX512();
+  // −0.0 + −0.0 is the one sum whose sign depends on both operands, and
+  // subnormal sums must not be flushed.
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  const double values[] = {0.0, -0.0, tiny, -tiny, 3.0 * tiny, -0.0, 0.0,
+                           std::numeric_limits<double>::min() / 4.0};
+  for (const auto& [m, n] : {std::pair<std::size_t, std::size_t>{96, 512},
+                             {37, 130},
+                             {9, 5}}) {
+    Vector x(n);
+    Vector q(m);
+    for (std::size_t j = 0; j < n; ++j) x[j] = values[(3 * j) % 8];
+    for (std::size_t i = 0; i < m; ++i) q[i] = values[(5 * i + 1) % 8];
+    Vector all_negative_zero(n, -0.0);
+    for (const Matrix& a : unit_and_leaky(m, n, 800 + m)) {
+      expect_kernels_agree(a, x, q, same_bytes);
+      expect_kernels_agree(a, all_negative_zero, Vector(m, -0.0),
+                           same_bytes);
+    }
+  }
+}
+
+TEST(SignPackedKernels, NonFiniteInputsKeepTheirClass) {
+  SKIP_WITHOUT_AVX512();
+  // NaN payloads may differ between kernels; every entry must still be NaN
+  // in both or the same bytes in both (so ±Inf keeps its sign).
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const auto& [m, n] : {std::pair<std::size_t, std::size_t>{96, 512},
+                             {97, 33},
+                             {5, 130}}) {
+    Vector x = random_vector(n, 900 + m);
+    Vector q = random_vector(m, 910 + n);
+    x[0] = inf;
+    x[n / 2] = -inf;
+    x[n - 1] = nan;
+    q[0] = -inf;
+    q[m / 2] = nan;
+    q[m - 1] = inf;
+    for (const Matrix& a : unit_and_leaky(m, n, 920 + m)) {
+      expect_kernels_agree(a, x, q, [](double fast, double reference) {
+        return (std::isnan(fast) && std::isnan(reference)) ||
+               same_bytes(fast, reference);
+      });
+    }
+  }
+}
+
+TEST(SignPackedKernels, SelectedKernelIsSupported) {
+  const detail::LookupKernel kernel = detail::selected_kernel();
+  EXPECT_TRUE(detail::kernel_supported(kernel));
+  EXPECT_TRUE(detail::kernel_supported(detail::LookupKernel::kPortable));
+  EXPECT_EQ(kernel == detail::LookupKernel::kAvx512,
+            detail::kernel_supported(detail::LookupKernel::kAvx512));
+  RecordProperty("sign_packed_kernel", detail::kernel_name(kernel));
 }
 
 TEST(OperatorNorm, MatchesKnownSingularValue) {
