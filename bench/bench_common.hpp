@@ -11,9 +11,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <map>
 #include <string>
 #include <vector>
 
+#include "csecg/coding/delta.hpp"
+#include "csecg/coding/zero_run_codec.hpp"
 #include "csecg/core/frontend.hpp"
 #include "csecg/core/runner.hpp"
 #include "csecg/ecg/record.hpp"
@@ -150,6 +153,89 @@ inline const DesignPoint& min_m(const std::vector<DesignPoint>& points,
         return core::averaged_snr(point.reports(mode)) >= target_db;
       });
   return found == points.end() ? points.back() : *found;
+}
+
+/// Counts of delta values, in value order.
+using DeltaCounts = std::map<std::int64_t, std::uint64_t>;
+
+/// Shannon entropy of `counts` in bits/sample.
+inline double entropy_bits(const DeltaCounts& counts) {
+  return coding::entropy_bits({counts.begin(), counts.end()});
+}
+
+/// One quantization depth of the §II side channel: its scalar and zero-run
+/// delta-Huffman codecs trained offline, the training corpus's deltas, and
+/// the codecs' cost summed over the held-out windows.
+struct LowResDepth {
+  int bits;
+  coding::DeltaHuffmanCodec scalar;
+  coding::ZeroRunDeltaCodec zero_run;
+  DeltaCounts train_deltas;
+  double scalar_bits = 0.0;
+  double zero_run_bits = 0.0;
+  double raw_bits = 0.0;
+  double samples = 0.0;
+  DeltaCounts eval_deltas = {};
+};
+
+/// Trains both codecs at every depth from 3 to 10 bits on `windows`
+/// windows of shared_database() records [0, train_records) and evaluates
+/// them on the eval_records records after those.  Fig. 4, Fig. 5, Fig. 6,
+/// Table I and the coder ablation all read it.
+inline std::vector<LowResDepth> lowres_sweep(std::size_t train_records,
+                                             std::size_t eval_records,
+                                             std::size_t windows) {
+  const auto& database = shared_database();
+  std::vector<LowResDepth> depths;
+  for (int bits = 3; bits <= 10; ++bits) {
+    core::FrontEndConfig config;
+    config.lowres_bits = bits;
+    sensing::LowResConfig lowres_config;
+    lowres_config.bits = bits;
+    const sensing::LowResChannel channel(lowres_config);
+    const auto record_codes = [&](std::size_t r) {
+      std::vector<std::vector<std::int64_t>> codes;
+      for (const auto& window : ecg::extract_windows(
+               database.record(r), config.window, windows)) {
+        codes.push_back(channel.sample(window).codes);
+      }
+      return codes;
+    };
+    const auto count_deltas = [](const std::vector<std::int64_t>& codes,
+                                 DeltaCounts& counts) {
+      for (auto diff : coding::delta_encode(codes).diffs) ++counts[diff];
+    };
+
+    std::vector<std::vector<std::int64_t>> corpus;
+    DeltaCounts train_deltas;
+    for (std::size_t r = 0; r < train_records; ++r) {
+      for (auto& codes : record_codes(r)) {
+        count_deltas(codes, train_deltas);
+        corpus.push_back(std::move(codes));
+      }
+    }
+    // The scalar codebook comes from the call every core::Codec is built
+    // with, so the figures price the codebook the codec ships.
+    LowResDepth depth{
+        bits,
+        core::train_lowres_codec(config, database, train_records, windows),
+        coding::ZeroRunDeltaCodec::train(corpus, bits),
+        std::move(train_deltas)};
+    for (std::size_t r = train_records; r < train_records + eval_records;
+         ++r) {
+      for (const auto& codes : record_codes(r)) {
+        depth.scalar_bits +=
+            static_cast<double>(depth.scalar.encoded_bits(codes));
+        depth.zero_run_bits +=
+            static_cast<double>(depth.zero_run.encoded_bits(codes));
+        depth.raw_bits += static_cast<double>(codes.size()) * bits;
+        depth.samples += static_cast<double>(codes.size());
+        count_deltas(codes, depth.eval_deltas);
+      }
+    }
+    depths.push_back(std::move(depth));
+  }
+  return depths;
 }
 
 /// Prints the bench banner.  `records` × `windows` is the workload the

@@ -82,9 +82,6 @@ Matrix transpose(const Matrix& a);
 /// Gram matrix AᵀA (n×n, symmetric).
 Matrix gram(const Matrix& a);
 
-/// Frobenius norm.
-double frobenius_norm(const Matrix& a) noexcept;
-
 /// Largest |entry| of A - B; shapes must match.
 double max_abs_diff(const Matrix& a, const Matrix& b);
 

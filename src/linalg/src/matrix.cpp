@@ -172,14 +172,6 @@ Matrix gram(const Matrix& a) {
   return g;
 }
 
-double frobenius_norm(const Matrix& a) noexcept {
-  double acc = 0.0;
-  const double* p = a.data();
-  const std::size_t total = a.rows() * a.cols();
-  for (std::size_t i = 0; i < total; ++i) acc += p[i] * p[i];
-  return std::sqrt(acc);
-}
-
 double max_abs_diff(const Matrix& a, const Matrix& b) {
   CSECG_CHECK(a.rows() == b.rows() && a.cols() == b.cols(),
               "max_abs_diff shape mismatch");

@@ -1,7 +1,8 @@
-// The paper's comparative claims, pinned on a small slice of the seed-2015
-// database (4 records × 1 window) through the same design-point sweep and
-// min-m search the Fig. 7/8 and §VI benches run, plus the bench budget
-// parser those benches share.
+// The paper's comparative claims, pinned on small slices of the seed-2015
+// database: 4 records × 1 window through the design-point sweep and min-m
+// search the Fig. 7/8 and §VI benches run, and 2 + 2 records × 4 windows
+// through the side-channel sweep behind Fig. 4–6 and Table I.  Plus the
+// bench budget parser those benches share.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -46,6 +47,28 @@ TEST(Claims, HybridNeedsFewerChannelsThanNormalCsAt14Db) {
   EXPECT_GE(core::averaged_snr(hybrid.hybrid), 14.0);
   EXPECT_GE(core::averaged_snr(normal.normal), 14.0);
   EXPECT_LT(hybrid.config.measurements, normal.config.measurements);
+}
+
+TEST(Claims, SideChannelCodersAtEveryDepth) {
+  // Records 0-1 train, records 2-3 are held out.
+  const auto depths = lowres_sweep(2, 2, 4);
+  ASSERT_EQ(depths.size(), 8u);
+  std::size_t previous_bytes = 0;
+  for (const auto& depth : depths) {
+    SCOPED_TRACE(::testing::Message() << depth.bits << " bits");
+    const double scalar = depth.scalar_bits / depth.samples;
+    // Shannon bound: no code beats the held-out delta entropy.
+    EXPECT_LE(entropy_bits(depth.eval_deltas), scalar);
+    // A scalar Huffman code spends at least 1 bit per sample.
+    EXPECT_GE(scalar, 1.0);
+    // Coding zero runs as units breaks that floor at low depths.
+    if (depth.bits <= 6) {
+      EXPECT_LT(depth.zero_run_bits / depth.samples, scalar);
+    }
+    // Fig. 5: the codebook grows with depth.
+    EXPECT_GE(depth.scalar.codebook().storage_bytes(), previous_bytes);
+    previous_bytes = depth.scalar.codebook().storage_bytes();
+  }
 }
 
 TEST(MinM, FirstPointReachingTheTargetElseTheLast) {
