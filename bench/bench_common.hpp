@@ -127,6 +127,34 @@ inline std::vector<DesignPoint> sweep(
   return points;
 }
 
+/// One side-channel depth decoded in hybrid mode.
+struct DepthPoint {
+  int bits;
+  std::vector<core::RecordReport> hybrid;
+};
+
+/// Decodes `records` × `windows` of shared_database() in hybrid mode at
+/// `measurements` channels and every side-channel depth from 3 to 10 bits,
+/// each depth with the codebook core::train_lowres_codec trains for it.
+/// The depth ablation reads it.
+inline std::vector<DepthPoint> depth_sweep(std::size_t measurements,
+                                           std::size_t records,
+                                           std::size_t windows) {
+  const auto& database = shared_database();
+  std::vector<DepthPoint> points;
+  for (int bits = 3; bits <= 10; ++bits) {
+    core::FrontEndConfig config;
+    config.measurements = measurements;
+    config.lowres_bits = bits;
+    const core::Codec codec(config,
+                            core::train_lowres_codec(config, database));
+    points.push_back({bits, core::run_database(codec, database, records,
+                                               windows,
+                                               core::DecodeMode::kHybrid)});
+  }
+  return points;
+}
+
 /// `base` at each channel count of `ms`, in order.
 inline std::vector<core::FrontEndConfig> at_measurements(
     const core::FrontEndConfig& base, const std::vector<std::size_t>& ms) {

@@ -8,9 +8,12 @@
 //
 //   $ ./telemetry_link [record_index] [windows]
 //
-// Defaults: record 0, 24 windows.
+// Defaults: record 0, 24 windows.  A malformed or out-of-range argument
+// prints one line and exits 1.
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 
 #include "csecg/link/session.hpp"
 #include "csecg/obs/registry.hpp"
@@ -30,16 +33,37 @@ bool write_file(const char* path, const std::string& text) {
   return true;
 }
 
+/// argv[index] as an integer of at least `min`, or `fallback` when absent.
+/// Anything else prints one line and exits 1.
+std::size_t parse_arg(int argc, char** argv, int index, const char* what,
+                      long min, std::size_t fallback) {
+  if (argc <= index) return fallback;
+  const char* text = argv[index];
+  char* end = nullptr;
+  errno = 0;
+  const long value = std::strtol(text, &end, 10);
+  if (end == text || *end != '\0' || errno == ERANGE || value < min) {
+    std::fprintf(stderr,
+                 "telemetry_link: %s expects an integer >= %ld, got '%s'\n",
+                 what, min, text);
+    std::exit(1);
+  }
+  return static_cast<std::size_t>(value);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace csecg;
-  const std::size_t record_index =
-      argc > 1 ? static_cast<std::size_t>(std::strtol(argv[1], nullptr, 10))
-               : 0;
-  const std::size_t windows =
-      argc > 2 ? static_cast<std::size_t>(std::strtol(argv[2], nullptr, 10))
-               : 24;
+  if (argc > 3) {
+    std::fprintf(stderr,
+                 "telemetry_link: usage: telemetry_link [record_index] "
+                 "[windows]\n");
+    return 1;
+  }
+  const std::size_t record_index = parse_arg(argc, argv, 1, "record_index",
+                                             0, 0);
+  const std::size_t windows = parse_arg(argc, argv, 2, "windows", 1, 24);
 
   ecg::RecordConfig record_config;
   record_config.duration_seconds = 30.0;
@@ -49,6 +73,14 @@ int main(int argc, char** argv) {
   config.window = 256;
   config.measurements = 48;
   config.wavelet_levels = 4;
+  try {
+    // Throws when the record index or the window count is out of range.
+    ecg::extract_windows(database.record(record_index), config.window,
+                         windows);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "telemetry_link: %s\n", e.what());
+    return 1;
+  }
   const auto codec = core::train_lowres_codec(config, database, 3, 3);
 
   // A bursty body-area channel with ~5% stationary packet loss:

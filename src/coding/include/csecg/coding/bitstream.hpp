@@ -48,9 +48,6 @@ class BitReader {
   /// Reads a single bit.
   bool read_bit();
 
-  /// Bits remaining (including any zero padding of the final byte).
-  std::size_t bits_remaining() const noexcept;
-
   /// Bits consumed so far.
   std::size_t bit_position() const noexcept { return position_; }
 

@@ -55,8 +55,4 @@ bool BitReader::read_bit() {
   return bit;
 }
 
-std::size_t BitReader::bits_remaining() const noexcept {
-  return bytes_.size() * 8 - position_;
-}
-
 }  // namespace csecg::coding

@@ -39,9 +39,6 @@ const std::vector<WaveletFamily>& all_wavelet_families();
 /// Human-readable family name ("db4", "sym8", ...).
 std::string wavelet_name(WaveletFamily family);
 
-/// Parses a family name; throws std::invalid_argument on unknown names.
-WaveletFamily wavelet_from_name(const std::string& name);
-
 /// An orthonormal two-channel filter bank.
 struct Wavelet {
   WaveletFamily family;

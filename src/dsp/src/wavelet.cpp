@@ -179,13 +179,6 @@ std::string wavelet_name(WaveletFamily family) {
   throw std::invalid_argument("unknown WaveletFamily");
 }
 
-WaveletFamily wavelet_from_name(const std::string& name) {
-  for (WaveletFamily family : all_wavelet_families()) {
-    if (wavelet_name(family) == name) return family;
-  }
-  throw std::invalid_argument("unknown wavelet name: " + name);
-}
-
 Wavelet make_wavelet(WaveletFamily family) {
   Wavelet w;
   w.family = family;

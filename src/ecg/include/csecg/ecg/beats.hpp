@@ -25,10 +25,6 @@ enum class BeatType {
   kAfib,    ///< Fibrillating-atria beat: no P wave, normal QRS.
 };
 
-/// Human-readable beat-type code in the PhysioNet annotation spirit
-/// ("N", "V", "A", "B", "f").
-const char* beat_type_code(BeatType type);
-
 /// Gaussian-extrema morphology in the phase domain: z'(θ) contributions at
 /// angles theta_deg (degrees in (−180, 180]), amplitudes a (mV-scale), and
 /// widths b (radians).

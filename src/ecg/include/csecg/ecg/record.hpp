@@ -45,9 +45,6 @@ struct EcgRecord {
 
   std::size_t size() const noexcept { return samples.size(); }
 
-  /// Converts an ADC code back to millivolts.
-  double to_mv(std::int32_t adu) const;
-
   /// Copies samples [start, start+length) as doubles (raw ADC units, the
   /// representation the paper computes PRD on).  Throws
   /// std::invalid_argument if the range exceeds the record.

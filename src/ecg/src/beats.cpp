@@ -7,22 +7,6 @@
 
 namespace csecg::ecg {
 
-const char* beat_type_code(BeatType type) {
-  switch (type) {
-    case BeatType::kNormal:
-      return "N";
-    case BeatType::kPvc:
-      return "V";
-    case BeatType::kApc:
-      return "A";
-    case BeatType::kWide:
-      return "B";
-    case BeatType::kAfib:
-      return "f";
-  }
-  return "?";
-}
-
 BeatMorphology beat_morphology(BeatType type) {
   // Base angles/amplitudes/widths from McSharry et al., IEEE TBME 2003,
   // Table 1; ectopic variants follow standard electrophysiology: PVC has

@@ -67,10 +67,6 @@ void validate(const RecordConfig& config) {
               "RecordConfig: offset outside ADC range");
 }
 
-double EcgRecord::to_mv(std::int32_t adu) const {
-  return (static_cast<double>(adu) - config.adc_offset) / config.adc_gain;
-}
-
 linalg::Vector EcgRecord::window(std::size_t start, std::size_t length) const {
   CSECG_CHECK(start + length <= samples.size(),
               "EcgRecord::window out of range: [" << start << ", "

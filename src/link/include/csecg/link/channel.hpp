@@ -62,10 +62,6 @@ class Channel {
   /// place (bit-error kind).
   bool transmit(std::vector<std::uint8_t>& packet);
 
-  /// Long-run packet erasure probability of the configured model (0 for
-  /// kPerfect/kBitError — those never erase whole packets).
-  double expected_erasure_rate() const noexcept;
-
  private:
   ChannelConfig config_;
   rng::Xoshiro256 gen_;

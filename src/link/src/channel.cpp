@@ -73,20 +73,4 @@ bool Channel::transmit(std::vector<std::uint8_t>& packet) {
   return true;
 }
 
-double Channel::expected_erasure_rate() const noexcept {
-  switch (config_.kind) {
-    case ChannelKind::kPerfect:
-    case ChannelKind::kBitError:
-      return 0.0;
-    case ChannelKind::kPacketErasure:
-      return config_.erasure_rate;
-    case ChannelKind::kGilbertElliott: {
-      const double pi_bad = stationary_bad(config_);
-      return pi_bad * config_.ge_erasure_bad +
-             (1.0 - pi_bad) * config_.ge_erasure_good;
-    }
-  }
-  return 0.0;
-}
-
 }  // namespace csecg::link

@@ -41,9 +41,6 @@ inline constexpr double kSnrCapDb = 240.0;
 /// or NaN PRD throws std::invalid_argument.
 double snr_from_prd(double prd_percent);
 
-/// PRD percentage from an SNR in dB (inverse of snr_from_prd).
-double prd_from_snr(double snr_db);
-
 /// Reconstruction SNR in dB, computed directly.
 double snr(const linalg::Vector& original, const linalg::Vector& reconstructed);
 

@@ -50,10 +50,6 @@ double snr_from_prd(double prd_percent) {
   return -20.0 * std::log10(0.01 * prd_percent);
 }
 
-double prd_from_snr(double snr_db) {
-  return 100.0 * std::pow(10.0, -snr_db / 20.0);
-}
-
 double snr(const linalg::Vector& original,
            const linalg::Vector& reconstructed) {
   return snr_from_prd(prd(original, reconstructed));

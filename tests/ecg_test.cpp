@@ -44,15 +44,6 @@ TEST(BeatMorphologies, PvcTWaveDiscordant) {
   EXPECT_LT(beat_morphology(BeatType::kPvc).a[4], 0.0);
 }
 
-TEST(BeatMorphologies, CodesDistinct) {
-  std::set<std::string> codes;
-  for (BeatType t : {BeatType::kNormal, BeatType::kPvc, BeatType::kApc,
-                     BeatType::kWide}) {
-    codes.insert(beat_type_code(t));
-  }
-  EXPECT_EQ(codes.size(), 4u);
-}
-
 TEST(ScaleMorphology, ScalesAmplitudesAndWidths) {
   const auto base = beat_morphology(BeatType::kNormal);
   const auto scaled = scale_morphology(base, 2.0, 0.5);
@@ -378,15 +369,6 @@ TEST(GenerateRecord, ProducesPlausibleMitBihSamples) {
     sum += s;
   }
   EXPECT_NEAR(sum / 7200.0, 1024.0, 60.0);
-}
-
-TEST(GenerateRecord, ToMvInvertsDigitization) {
-  RecordConfig config;
-  config.duration_seconds = 5.0;
-  const EcgRecord rec =
-      generate_record(mitbih_surrogate_profiles()[1], config, 43);
-  EXPECT_DOUBLE_EQ(rec.to_mv(1024), 0.0);
-  EXPECT_DOUBLE_EQ(rec.to_mv(1224), 1.0);
 }
 
 TEST(Database, LazyCachedAccess) {

@@ -266,7 +266,6 @@ TEST(Channel, ErasureRateMatchesConfig) {
   }
   const double empirical = static_cast<double>(lost) / trials;
   EXPECT_NEAR(empirical, cc.erasure_rate, 0.01);
-  EXPECT_DOUBLE_EQ(channel.expected_erasure_rate(), 0.2);
 }
 
 TEST(Channel, GilbertElliottMatchesStationaryLoss) {
@@ -278,8 +277,6 @@ TEST(Channel, GilbertElliottMatchesStationaryLoss) {
   cc.ge_erasure_bad = 0.6;
   // Stationary: π_bad = 0.05/0.25 = 0.2 → loss = 0.2·0.6 + 0.8·0.01.
   const double expected = 0.2 * 0.6 + 0.8 * 0.01;
-  EXPECT_NEAR(Channel(cc).expected_erasure_rate(), expected, 1e-12);
-
   Channel channel(cc, 1234);
   std::vector<std::uint8_t> packet = {0};
   int lost = 0;
